@@ -7,7 +7,7 @@ but held off the pCPU by hypervisor-level contention. Folding steal in
 is what lets the guest prefer uncontended vCPUs when placing work.
 """
 
-import math
+from math import exp
 
 from ..simkernel.units import MS
 
@@ -36,7 +36,7 @@ class RtAvgTracker:
         run, steal, __ = self.vcpu.snapshot_accounting(now)
         busy = (run - self._last_run) + (steal - self._last_steal)
         fraction = busy / elapsed
-        decay = math.exp(-elapsed / self.tau_ns)
+        decay = exp(-elapsed / self.tau_ns)
         self.value = decay * self.value + (1.0 - decay) * fraction
         self._last_time = now
         self._last_run = run

@@ -64,10 +64,14 @@ class RunQueue:
     def update_min_vruntime(self, current):
         """Advance the monotonic ``min_vruntime`` floor (used to place
         waking tasks fairly)."""
-        candidates = []
+        entries = self._entries
         if current is not None:
-            candidates.append(current.vruntime)
-        if self._entries:
-            candidates.append(self._entries[0][0])
-        if candidates:
-            self.min_vruntime = max(self.min_vruntime, min(candidates))
+            floor = current.vruntime
+            if entries and entries[0][0] < floor:
+                floor = entries[0][0]
+        elif entries:
+            floor = entries[0][0]
+        else:
+            return
+        if floor > self.min_vruntime:
+            self.min_vruntime = floor

@@ -7,7 +7,9 @@ deterministic: given the same seed and model, two runs produce identical
 event sequences.
 """
 
-from .events import EventQueue
+from heapq import heappop, heappush
+
+from .events import Event, EventQueue
 from .rng import RngRegistry
 from .tracing import Tracer
 
@@ -89,7 +91,15 @@ class Simulator:
         """Schedule ``callback(*args)`` ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
-        return self._queue.schedule(self.now + delay, callback, *args)
+        # The hottest scheduling call (every tick and quantum re-arm):
+        # push straight onto the heap, as EventQueue.schedule would.
+        queue = self._queue
+        time = self.now + delay
+        seq = queue._seq = queue._seq + 1
+        event = Event(time, seq, callback, args, queue)
+        heappush(queue._heap, (time, seq, event))
+        queue._live += 1
+        return event
 
     def call_soon(self, callback, *args):
         """Schedule ``callback(*args)`` at the current time (after any
@@ -127,14 +137,18 @@ class Simulator:
         self._stopped = True
 
     def step(self):
-        """Process one event. Returns False when the queue is empty."""
+        """Process one event. Returns False when the queue is empty.
+
+        The only dispatcher: besides ``EventQueue.pop`` it calls just the
+        event's callback and the post-event hooks (DESIGN.md §7)."""
         event = self._queue.pop()
         if event is None:
             return False
-        if event.time < self.now:
+        time = event.time
+        if time < self.now:
             raise SimulationError(
-                'event at %d in the past (now %d)' % (event.time, self.now))
-        self.now = event.time
+                'event at %d in the past (now %d)' % (time, self.now))
+        self.now = time
         self._events_processed += 1
         self._last_event = event
         event.callback(*event.args)
@@ -153,13 +167,17 @@ class Simulator:
         """
         processed = 0
         self._stopped = False
+        heap = self._queue._heap
+        step = self.step
+        # The heap head is inspected once per event here; step() then
+        # pops that same (live) head.
         while not self._stopped:
-            next_time = self._queue.peek_time()
-            if next_time is None or next_time > end_time:
+            while heap and heap[0][2].cancelled:
+                heappop(heap)
+            if not heap or heap[0][0] > end_time:
                 self.now = max(self.now, end_time)
                 break
-            if not self.step():
-                break
+            step()
             processed += 1
             if max_events is not None and processed > max_events:
                 raise LivelockError(max_events, 'before %d' % end_time,

@@ -1,5 +1,9 @@
 """Unit tests for the Simulator driver."""
 
+import cProfile
+import os
+import pstats
+
 import pytest
 
 from repro.simkernel import LivelockError, SimulationError, Simulator
@@ -168,3 +172,137 @@ class TestRunning:
             sim.at(t, lambda: stamps.append(sim.now))
         sim.run_until_idle()
         assert stamps == sorted(stamps)
+
+
+class TestRunUntilEdges:
+    def test_only_cancelled_events_advance_clock_to_end(self):
+        sim = Simulator()
+        fired = []
+        for t in (10, 20, 30):
+            sim.at(t, lambda: fired.append(sim.now)).cancel()
+        assert sim.run_until(500) == 0
+        assert fired == []
+        assert sim.now == 500
+        assert sim.pending_events == 0
+
+    def test_cancelled_head_before_boundary_event(self):
+        sim = Simulator()
+        fired = []
+        sim.at(100, lambda: fired.append('dropped')).cancel()
+        sim.at(500, lambda: fired.append(sim.now))
+        assert sim.run_until(500) == 1
+        assert fired == [500]
+
+    def test_stop_inside_callback_returns_after_that_event(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper():
+            fired.append('stopper')
+            sim.stop()
+        sim.at(10, stopper)
+        sim.at(10, lambda: fired.append('same-instant'))
+        sim.at(20, lambda: fired.append('later'))
+        assert sim.run_until(100) == 1
+        assert fired == ['stopper']
+        assert sim.now == 10
+        assert sim.pending_events == 2
+
+    def test_same_instant_mixed_scheduling_fires_in_order(self):
+        sim = Simulator()
+        fired = []
+
+        def schedule_mix():
+            sim.at(sim.now + 5, fired.append, 'at')
+            sim.call_soon(fired.append, 'soon')
+            sim.after(5, fired.append, 'after')
+            sim.at(sim.now, fired.append, 'at-now')
+            sim.after(0, fired.append, 'after-0')
+            sim.call_soon(fired.append, 'soon-2')
+        sim.at(10, schedule_mix)
+        sim.run_until(100)
+        assert fired == ['soon', 'at-now', 'after-0', 'soon-2',
+                         'at', 'after']
+
+    def test_cancel_after_fire_keeps_pending_count(self):
+        sim = Simulator()
+        done = sim.after(5, lambda: None)
+        sim.after(50, lambda: None)
+        sim.run_until(10)
+        assert done.fired
+        assert sim.pending_events == 1
+        done.cancel()
+        assert not done.cancelled
+        assert sim.pending_events == 1
+        assert sim.run_until(100) == 1
+
+
+def _dispatch_callees(stats):
+    """``{(file tail, function name): calls}`` of every function that
+    ``Simulator.step`` called in a ``pstats`` mapping."""
+    callees = {}
+    for (filename, __, name), row in stats.items():
+        callers = row[4]
+        for (caller_file, __, caller_name), edge in callers.items():
+            if caller_name == 'step' and caller_file.endswith(
+                    'simulation.py'):
+                key = (os.path.basename(filename), name)
+                callees[key] = callees.get(key, 0) + edge[0]
+    return callees
+
+
+class TestDispatchContract:
+    """Facts the per-layer benchmark attribution relies on: ``step`` is
+    the sole dispatcher (its only callees are ``EventQueue.pop``, the
+    event callbacks and the post-event hooks), and the queue's sequence
+    number counts every scheduled event."""
+
+    def _model(self, sim):
+        def tick(n):
+            if n:
+                sim.after(7, tick, n - 1)
+                sim.call_soon(soon)
+
+        def soon():
+            pass
+
+        def never():
+            pass
+        for i in range(4):
+            sim.at(i, tick, 5)
+        sim.after(3, never).cancel()
+        return 4 + 1 + 4 * 5 * 2
+
+    def test_step_calls_only_pop_callbacks_and_hooks(self):
+        sim = Simulator()
+        hooked = []
+
+        def hook(event):
+            hooked.append(event)
+        sim.add_post_event_hook(hook)
+        self._model(sim)
+        profile = cProfile.Profile()
+        profile.enable()
+        fired = sim.run_until(10**6)
+        profile.disable()
+        callees = _dispatch_callees(pstats.Stats(profile).stats)
+        assert fired == sim.events_processed == 44
+        expected = {
+            ('events.py', 'pop'): fired,
+            ('test_simkernel_simulation.py', 'tick'): 24,
+            ('test_simkernel_simulation.py', 'soon'): 20,
+        }
+        # Every registered hook (a runtime sanitizer may add its own).
+        for each in sim._post_event_hooks:
+            code = each.__code__
+            expected[(os.path.basename(code.co_filename),
+                      code.co_name)] = fired
+        assert callees == expected
+        assert len(hooked) == fired
+
+    def test_queue_seq_counts_scheduled_events(self):
+        sim = Simulator()
+        scheduled = self._model(sim)
+        sim.run_until_idle()
+        assert sim._queue._seq == scheduled
+        assert sim.events_processed == scheduled - 1
