@@ -11,6 +11,7 @@ Not collected by pytest (no ``test_`` prefix); run directly:
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -25,8 +26,7 @@ from repro.experiments import (            # noqa: E402
     ResultCache,
     SerialExecutor,
     pipeline_counters,
-    set_default_cache,
-    set_default_executor,
+    run_specs,
 )
 from repro.experiments.figures import (    # noqa: E402
     cluster_consolidation,
@@ -38,12 +38,12 @@ from repro.experiments.figures import (    # noqa: E402
 )
 
 FIGURES = {
-    'fig1a': lambda: fig1a(quick=True),
-    'fig10-quick': lambda: fig10(quick=True),
-    'sa_overhead': lambda: sa_overhead(quick=True),
-    'cluster-consolidation': lambda: cluster_consolidation(quick=True),
-    'cluster-resilience': lambda: cluster_resilience(quick=True),
-    'traffic-slo': lambda: traffic_slo(quick=True),
+    'fig1a': fig1a,
+    'fig10-quick': fig10,
+    'sa_overhead': sa_overhead,
+    'cluster-consolidation': cluster_consolidation,
+    'cluster-resilience': cluster_resilience,
+    'traffic-slo': traffic_slo,
 }
 
 #: Program lengths (iterations) of the two dispatch microbenchmark
@@ -57,9 +57,12 @@ DISPATCH_ITERATIONS = (10_000, 50_000)
 DISPATCH_REPEATS = 5
 
 
-def _timed(driver):
+def _timed(driver, executor=None, cache=None):
+    """Host seconds of one quick ``driver`` pass through ``run_specs``
+    with the given executor and cache."""
+    run = functools.partial(run_specs, executor=executor, cache=cache)
     start = time.perf_counter()
-    driver()
+    driver(quick=True, run=run)
     return round(time.perf_counter() - start, 4)
 
 
@@ -182,25 +185,19 @@ def measure(jobs):
     results = {}
     for name, driver in FIGURES.items():
         entry = {}
-        set_default_cache(None)
-        set_default_executor(SerialExecutor())
-        entry['serial_s'] = _timed(driver)
-        set_default_executor(ParallelRunner(jobs=jobs))
-        entry[f'jobs{jobs}_s'] = _timed(driver)
+        entry['serial_s'] = _timed(driver, SerialExecutor())
+        entry[f'jobs{jobs}_s'] = _timed(driver, ParallelRunner(jobs=jobs))
         with tempfile.TemporaryDirectory() as tmp:
-            set_default_executor(None)
-            set_default_cache(ResultCache(root=tmp))
-            entry['cache_cold_s'] = _timed(driver)
+            cache = ResultCache(root=tmp)
+            entry['cache_cold_s'] = _timed(driver, cache=cache)
             before = pipeline_counters()
-            entry['cache_warm_s'] = _timed(driver)
+            entry['cache_warm_s'] = _timed(driver, cache=cache)
             after = pipeline_counters()
             dispatched = (after.get('executor.dispatched', 0)
                           - before.get('executor.dispatched', 0))
             if dispatched:
                 raise AssertionError(
                     f'{name}: warm cache pass dispatched {dispatched} runs')
-        set_default_cache(None)
-        set_default_executor(None)
         results[name] = entry
         print(f'{name}: {entry}')
     results['action-dispatch'] = measure_dispatch()

@@ -105,24 +105,16 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
     cluster.
 
     ``observe`` (an :class:`~repro.experiments.harness.
-    ObservabilityConfig`, True for defaults, or None for the
-    CLI-installed default) enables the cluster span probes and, at the
-    end of the run, exports the Perfetto trace (``trace_out``), the
-    health event log as JSONL (``events_out``), and the Prometheus
+    ObservabilityConfig`, or None for no capture) enables the cluster
+    span probes and, at the end of the run, exports the Perfetto trace
+    (``trace_out``), the health event log as JSONL (``events_out``),
+    and the Prometheus
     text exposition (``metrics_out``). The health event log itself is
     always recorded — it is a low-rate control-plane ledger, like the
     admission ledger — only the exports and the span probes are opt-in.
     """
     if strategy not in HOST_STRATEGIES:
         raise ValueError('unknown strategy %r' % strategy)
-    # Lazy import: repro.experiments imports this module (through the
-    # executor); the harness never imports the cluster layer at import
-    # time, but going through it here keeps that the only direction.
-    from ..experiments.harness import (ObservabilityConfig,
-                                       default_observability)
-    obs_config = observe if observe is not None else default_observability()
-    if obs_config is True:
-        obs_config = ObservabilityConfig()
     fault_plan = None
     fault_name = None
     if faults is not None:
@@ -132,7 +124,7 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
             fault_plan = parse_fault_plan(faults)
         fault_name = fault_plan.name if fault_plan is not None else None
     sim = Simulator(seed=seed)
-    if obs_config is not None and obs_config.spans:
+    if observe is not None and observe.spans:
         sim.trace.spans.enabled = True
     specs = [HostSpec('host%d' % i, n_pcpus=host_pcpus, strategy=strategy,
                       capacity_vcpus=capacity_vcpus)
@@ -175,14 +167,14 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
     counters = {name: count
                 for name, count in sorted(sim.trace.counters.items())
                 if name.startswith(CLUSTER_COUNTER_PREFIXES)}
-    if obs_config is not None:
-        if obs_config.trace_out:
-            write_chrome_trace(obs_config.trace_out,
+    if observe is not None:
+        if observe.trace_out:
+            write_chrome_trace(observe.trace_out,
                                spans=sim.trace.spans, now_ns=sim.now)
-        if obs_config.events_out:
-            cluster.events.write_jsonl(obs_config.events_out)
-        if obs_config.metrics_out:
-            write_exposition(obs_config.metrics_out, sim.trace.metrics)
+        if observe.events_out:
+            cluster.events.write_jsonl(observe.events_out)
+        if observe.metrics_out:
+            write_exposition(observe.metrics_out, sim.trace.metrics)
     return ClusterRunResult(
         strategy=strategy,
         placement=placement,

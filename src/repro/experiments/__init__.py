@@ -6,7 +6,8 @@ The run pipeline has three explicit stages:
   fully determine a run, and the serializable :class:`RunOutcome`;
 * :mod:`~repro.experiments.executor` — pluggable executors
   (:class:`SerialExecutor`, :class:`ParallelRunner`) mapping spec
-  batches to outcomes, fronted by :func:`run_specs`;
+  batches to outcomes, fronted by :func:`run_specs`, which takes the
+  executor and cache as arguments;
 * :mod:`~repro.experiments.cache` — the determinism-keyed on-disk
   :class:`ResultCache` (spec + code fingerprint).
 """
@@ -20,8 +21,6 @@ from .executor import (
     run_spec,
     run_spec_file,
     run_specs,
-    set_default_cache,
-    set_default_executor,
 )
 from .figures import ALL_FIGURES
 from .harness import (
@@ -73,8 +72,7 @@ __all__ = [
     'parallel_spec', 'parse_spec', 'pipeline_counters', 'PLE',
     'probe_spec', 'RELAXED_CO', 'ResultCache', 'RunError', 'RunOutcome',
     'RunSpec', 'run_migration_probe', 'run_parallel', 'run_server',
-    'run_spec', 'run_spec_file', 'run_specs', 'Scenario',
-    'ServerRunResult', 'server_spec', 'set_default_cache',
-    'set_default_executor', 'SpecError', 'spec_from_dict', 'Sweep',
+    'run_spec', 'run_spec_file', 'run_specs', 'Scenario', 'SerialExecutor',
+    'ServerRunResult', 'server_spec', 'SpecError', 'spec_from_dict', 'Sweep',
     'SweepPoint', 'TrafficSpec', 'traffic_spec', 'VANILLA',
 ]

@@ -19,13 +19,11 @@ misses and removed. Hit/miss/store counters are surfaced through a
 module-level :class:`~repro.obs.histograms.MetricsRegistry`
 (:data:`METRICS`) so the CLI and tests can assert on them.
 
-When NOT to trust the cache: any determinism input that is *not* part
-of the spec. Today that is (a) an ambient
-:class:`~repro.experiments.harness.ObservabilityConfig` with a
-``trace_out`` export (a side effect a cache hit would skip) and (b) an
-ambient fault plan installed without its campaign text (unkeyable).
-:func:`~repro.experiments.executor.run_specs` detects both and bypasses
-the cache rather than serving wrong entries.
+Nothing outside the spec reaches a run: the fault campaign travels as
+``spec.faults``, so it is part of the key. The one thing a cache hit
+skips is a side effect — the files an
+:class:`~repro.experiments.harness.ObservabilityConfig` exports — so
+callers that export (the CLI's ``--trace-out`` family) run uncached.
 """
 
 import hashlib

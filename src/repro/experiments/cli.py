@@ -18,27 +18,18 @@ import time
 
 from ..faults import CAMPAIGNS, parse_fault_plan
 from .cache import DEFAULT_CACHE_DIR, ResultCache, pipeline_counters
-from .executor import (
-    ParallelRunner,
-    run_spec_file,
-    set_default_cache,
-    set_default_executor,
-)
+from .executor import ParallelRunner, SerialExecutor, run_spec_file, run_specs
 from .figures import ALL_FIGURES
-from .harness import (
-    ObservabilityConfig,
-    set_default_fault_plan,
-    set_default_observability,
-)
+from .harness import ObservabilityConfig
 from .reporting import format_table
 from .strategies import ALL_STRATEGIES, EXTENSION_STRATEGIES
 
 
-def _run_one(name, quick, stream, strategy=None, arrivals=None,
+def _run_one(name, quick, stream, run, strategy=None, arrivals=None,
              rate_rps=None, slo_p99_ms=None):
     figure_fn = ALL_FIGURES[name]
     accepted = inspect.signature(figure_fn).parameters
-    kwargs = {'quick': quick}
+    kwargs = {'quick': quick, 'run': run}
     # Axis flags apply only where the driver takes them ('all' runs
     # mixed batches, so unknown kwargs are skipped, not errors).
     for key, value in (('strategy', strategy), ('arrivals', arrivals),
@@ -59,9 +50,9 @@ def _run_one(name, quick, stream, strategy=None, arrivals=None,
     return result
 
 
-def _run_specs(path):
+def _run_specs(path, run):
     rows = []
-    for spec, outcome in run_spec_file(path):
+    for spec, outcome in run_spec_file(path, run=run):
         rows.append([
             spec.get('name', spec['app']),
             outcome.strategy,
@@ -101,6 +92,32 @@ def _resolve_jobs(args, parser):
                 'be empty; rerun serially (--jobs 1) to capture it'
                 % (source, jobs, flag))
     return jobs
+
+
+def _batch_runner(args, jobs, faults, observe):
+    """The one place the flags become a batch runner: a function from a
+    list of specs to their outcomes, handed to every figure driver.
+
+    ``--faults`` fills ``faults`` on every spec that names no campaign
+    of its own, so workers and cache keys see it. Exports (``observe``)
+    are files written by the process that runs the simulation, and a
+    cache hit would skip them, so those batches run in-process and
+    uncached."""
+    if observe is not None:
+        executor, cache = SerialExecutor(observe=observe), None
+    else:
+        executor = None
+        if jobs > 1 or args.wall_timeout is not None:
+            executor = ParallelRunner(jobs=jobs,
+                                      wall_timeout=args.wall_timeout)
+        cache = ResultCache() if args.cache else None
+
+    def run(specs):
+        if faults is not None:
+            specs = [spec if spec.faults is not None
+                     else spec.replace(faults=faults) for spec in specs]
+        return run_specs(specs, executor=executor, cache=cache)
+    return run
 
 
 def _list_experiments():
@@ -212,10 +229,11 @@ def main(argv=None):
         for name, factory in sorted(CAMPAIGNS.items()):
             print('%-18s %s' % (name, factory().description))
         return 0
+    faults = None
     if args.faults:
         try:
-            set_default_fault_plan(parse_fault_plan(args.faults),
-                                   text=args.faults)
+            if parse_fault_plan(args.faults) is not None:
+                faults = args.faults
         except ValueError as exc:
             parser.error('%s; --faults=list shows the registry' % exc)
     jobs = _resolve_jobs(args, parser)
@@ -232,11 +250,11 @@ def main(argv=None):
                 pass
         except OSError as exc:
             parser.error('cannot write %s file: %s' % (flag, exc))
+    observe = None
     if any(path for __, path in exports):
-        set_default_observability(ObservabilityConfig(
-            trace_out=args.trace_out,
-            events_out=args.events_out,
-            metrics_out=args.metrics_out))
+        observe = ObservabilityConfig(trace_out=args.trace_out,
+                                      events_out=args.events_out,
+                                      metrics_out=args.metrics_out)
     if args.strategy is not None:
         known = ALL_STRATEGIES + EXTENSION_STRATEGIES
         if args.strategy not in known:
@@ -261,48 +279,37 @@ def main(argv=None):
     if args.figure == 'list':
         return _list_experiments()
 
-    executor = None
-    if jobs > 1 or args.wall_timeout is not None:
-        executor = ParallelRunner(jobs=jobs,
-                                  wall_timeout=args.wall_timeout)
-    previous_executor = set_default_executor(executor)
-    previous_cache = set_default_cache(ResultCache() if args.cache
-                                       else None)
+    run = _batch_runner(args, jobs, faults, observe)
+    if args.figure.endswith('.json'):
+        return _run_specs(args.figure, run)
+
+    # Accept dashed aliases (sa-latency == sa_latency).
+    figure = args.figure.replace('-', '_')
+    names = list(ALL_FIGURES) if figure == 'all' else [figure]
+    unknown = [n for n in names if n not in ALL_FIGURES]
+    if unknown:
+        parser.error('unknown figure %s; try: %s'
+                     % (', '.join(unknown), ', '.join(ALL_FIGURES)))
+
+    stream = sys.stdout
+    handle = None
+    if args.out:
+        handle = open(args.out, 'a')
+        stream = handle
     try:
-        if args.figure.endswith('.json'):
-            return _run_specs(args.figure)
-
-        # Accept dashed aliases (sa-latency == sa_latency).
-        figure = args.figure.replace('-', '_')
-        names = list(ALL_FIGURES) if figure == 'all' else [figure]
-        unknown = [n for n in names if n not in ALL_FIGURES]
-        if unknown:
-            parser.error('unknown figure %s; try: %s'
-                         % (', '.join(unknown), ', '.join(ALL_FIGURES)))
-
-        stream = sys.stdout
-        handle = None
-        if args.out:
-            handle = open(args.out, 'a')
-            stream = handle
-        try:
-            for name in names:
-                _run_one(name, quick=not args.full, stream=stream,
-                         strategy=args.strategy, arrivals=args.arrivals,
-                         rate_rps=args.rate_rps,
-                         slo_p99_ms=args.slo_p99_ms)
-            if args.cache:
-                counters = pipeline_counters()
-                print('(runcache: %d hits, %d misses)'
-                      % (counters.get('runcache.hit', 0),
-                         counters.get('runcache.miss', 0)), file=stream)
-        finally:
-            if handle is not None:
-                handle.close()
-        return 0
+        for name in names:
+            _run_one(name, quick=not args.full, stream=stream, run=run,
+                     strategy=args.strategy, arrivals=args.arrivals,
+                     rate_rps=args.rate_rps, slo_p99_ms=args.slo_p99_ms)
+        if args.cache:
+            counters = pipeline_counters()
+            print('(runcache: %d hits, %d misses)'
+                  % (counters.get('runcache.hit', 0),
+                     counters.get('runcache.miss', 0)), file=stream)
     finally:
-        set_default_executor(previous_executor)
-        set_default_cache(previous_cache)
+        if handle is not None:
+            handle.close()
+    return 0
 
 
 if __name__ == '__main__':

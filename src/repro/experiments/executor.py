@@ -15,10 +15,11 @@ matching harness entry point. Two executors map batches:
   futures are cancelled instead of left to hang the pool.
 
 :func:`run_specs` is the front door the figure drivers, sweeps, and the
-CLI use: it deduplicates a batch, consults the active
-:class:`~repro.experiments.cache.ResultCache`, dispatches only the
-misses, and reassembles outcomes in input order. Determinism (same
-spec -> same outcome) is what makes all of that invisible to callers.
+CLI use: it deduplicates a batch, consults the
+:class:`~repro.experiments.cache.ResultCache` it is given, dispatches
+only the misses to the executor it is given, and reassembles outcomes
+in input order. Determinism (same spec -> same outcome) is what makes
+all of that invisible to callers.
 """
 
 import concurrent.futures
@@ -36,14 +37,9 @@ from .cache import (  # noqa: F401  (ResultCache re-export)
 )
 from .harness import (
     ObservabilityConfig,
-    default_fault_plan,
-    default_fault_text,
-    default_observability,
     run_migration_probe,
     run_parallel,
     run_server,
-    set_default_fault_plan,
-    set_default_observability,
 )
 from .spec import (CLUSTER, PARALLEL, PROBE, SERVER, TRAFFIC, RunOutcome,
                    spec_from_dict)
@@ -60,27 +56,20 @@ class RunError(RuntimeError):
         self.spec = spec
 
 
-def _observability_for(spec):
-    """The observe= argument for one spec: the ambient CLI default
-    (``--trace-out``) wins so exports still happen on the serial path;
-    otherwise the spec's own flags decide."""
-    if default_observability() is not None:
-        return None                      # fall through to the default
-    if spec.spans or spec.timeline:
-        return ObservabilityConfig(trace_out=None, spans=spec.spans,
-                                   timeline=spec.timeline)
-    return None
-
-
-def execute_spec(spec):
+def execute_spec(spec, observe=None):
     """Execute one spec in-process; returns its :class:`RunOutcome`.
 
     Everything that determines the run is taken from the spec itself
     (fault campaign text, IRS overrides, observability flags), so the
     result is identical whether this runs in the parent or a worker.
+    ``observe`` (an :class:`ObservabilityConfig`) replaces the spec's
+    ``spans``/``timeline`` flags and names the files to export; it
+    changes what is captured, never the outcome.
     """
     METRICS.counter('executor.runs').inc()
-    observe = _observability_for(spec)
+    if observe is None and (spec.spans or spec.timeline):
+        observe = ObservabilityConfig(spans=spec.spans,
+                                      timeline=spec.timeline)
     fault_plan = parse_fault_plan(spec.faults) if spec.faults else None
     irs_config = IRSConfig(**dict(spec.irs)) if spec.irs else None
 
@@ -174,18 +163,15 @@ def execute_spec(spec):
                       metrics=result.metrics)
 
 
-def _execute_in_worker(spec):
-    """Worker-process entry: clear any fork-inherited ambient defaults
-    so the spec alone determines the run, then execute."""
-    set_default_fault_plan(None)
-    set_default_observability(None)
-    return execute_spec(spec)
-
-
 class SerialExecutor:
-    """Run a batch in-process, in order."""
+    """Run a batch in-process, in order. ``observe`` (an
+    :class:`ObservabilityConfig`) is handed to every run, e.g. to
+    export each run's trace."""
 
     jobs = 1
+
+    def __init__(self, observe=None):
+        self.observe = observe
 
     def map(self, specs):
         outcomes = []
@@ -195,7 +181,7 @@ class SerialExecutor:
             PROFILE_LOG.append(started, eventlog.EVENT_SPEC_DISPATCH,
                                spec=spec.describe(), jobs=1)
             try:
-                outcomes.append(execute_spec(spec))
+                outcomes.append(execute_spec(spec, observe=self.observe))
             except Exception as exc:
                 raise RunError(spec, exc) from exc
             finished = time.monotonic_ns()  # replint: disable=determinism
@@ -235,7 +221,7 @@ class ParallelRunner:
         self.wall_timeout = wall_timeout
         # The worker entry point, swappable by tests that need a
         # controllable (e.g. deliberately hanging) workload.
-        self._worker = _execute_in_worker
+        self._worker = execute_spec
 
     def map(self, specs):
         specs = list(specs)
@@ -319,82 +305,16 @@ class ParallelRunner:
         return '<ParallelRunner jobs=%d>' % self.jobs
 
 
-# Executor / cache applied to every batch that does not pass one
-# explicitly; set from the CLI's --jobs / --cache flags. None means
-# "serial, uncached" — the historical behavior.
-_default_executor = None
-_default_cache = None
-
-_UNSET = object()
-
-
-def set_default_executor(executor):
-    """Install ``executor`` for every subsequent batch (None restores
-    the serial default). Returns the previous executor."""
-    global _default_executor
-    previous = _default_executor
-    _default_executor = executor
-    return previous
-
-
-def default_executor():
-    """The currently installed default executor (or None = serial)."""
-    return _default_executor
-
-
-def set_default_cache(cache):
-    """Install ``cache`` (a :class:`ResultCache` or None) for every
-    subsequent batch. Returns the previous cache."""
-    global _default_cache
-    previous = _default_cache
-    _default_cache = cache
-    return previous
-
-
-def default_cache():
-    """The currently installed default result cache (or None)."""
-    return _default_cache
-
-
-def _normalize(spec):
-    """Fold ambient CLI defaults that affect determinism into the spec
-    itself, so cache keys and worker processes see them."""
-    if spec.faults is None and default_fault_text() is not None:
-        return spec.replace(faults=default_fault_text())
-    return spec
-
-
-def _cache_is_safe():
-    """Whether the ambient harness state is fully captured by spec
-    normalization — if not, serving cached outcomes would be wrong."""
-    obs = default_observability()
-    if obs is not None and (getattr(obs, 'trace_out', None)
-                            or getattr(obs, 'events_out', None)
-                            or getattr(obs, 'metrics_out', None)):
-        return False            # cache hits would skip the exports
-    if default_fault_plan() is not None and default_fault_text() is None:
-        return False            # plan installed without keyable text
-    return True
-
-
-def run_specs(specs, executor=None, cache=_UNSET):
+def run_specs(specs, executor=None, cache=None):
     """Execute a batch of specs; returns outcomes in input order.
 
     Duplicated specs are executed once (determinism makes the shared
-    outcome exact). ``executor`` defaults to the CLI-installed one
-    (:func:`set_default_executor`), else serial; ``cache`` likewise
-    (pass ``None`` to force uncached execution). Cached entries are
-    bypassed entirely whenever ambient harness state (an installed
-    ``--trace-out`` export, an unkeyable fault plan) is not captured by
-    the specs themselves.
+    outcome exact). ``executor`` maps the batch (None = in-process,
+    serial); ``cache`` (a :class:`ResultCache`, None = uncached) serves
+    any spec it has seen and stores the fresh outcomes.
     """
-    specs = [_normalize(spec) for spec in specs]
     if executor is None:
-        executor = _default_executor or SerialExecutor()
-    if cache is _UNSET:
-        cache = _default_cache
-    if cache is not None and not _cache_is_safe():
-        cache = None
+        executor = SerialExecutor()
 
     unique = []
     index = {}
@@ -430,13 +350,13 @@ def run_spec(spec):
     return run_specs([spec])[0]
 
 
-def run_spec_file(path):
+def run_spec_file(path, run=run_specs):
     """Run the spec (or list of specs) in a JSON file as one batch
-    (parallel/cached under the active defaults). Returns a list of
-    ``(spec_dict, outcome)`` pairs."""
+    through ``run`` (e.g. :func:`run_specs` bound to an executor and a
+    cache). Returns a list of ``(spec_dict, outcome)`` pairs."""
     import json
     with open(path) as handle:
         loaded = json.load(handle)
     spec_dicts = loaded if isinstance(loaded, list) else [loaded]
-    outcomes = run_specs([spec_from_dict(d) for d in spec_dicts])
+    outcomes = run([spec_from_dict(d) for d in spec_dicts])
     return list(zip(spec_dicts, outcomes))

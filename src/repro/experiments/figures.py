@@ -10,11 +10,11 @@ Every driver is two passes over the same grid: pass one builds the
 figure's full batch of declarative
 :class:`~repro.experiments.spec.RunSpec` values, pass two aggregates
 the :class:`~repro.experiments.spec.RunOutcome` of each spec into rows.
-The batch goes through :func:`~repro.experiments.executor.run_specs`
-exactly once, so the active executor (``--jobs``) can fan the whole
-grid out and the result cache (``--cache``) can skip any run it has
-seen — with identical tables either way, because a spec fully
-determines its outcome.
+The batch goes through the driver's ``run`` argument exactly once.
+``run`` defaults to :func:`~repro.experiments.executor.run_specs`
+(serial, uncached); the CLI passes ``run_specs`` bound to its executor
+(``--jobs``) and result cache (``--cache``), with identical tables
+either way, because a spec fully determines its outcome.
 
 ``quick=True`` (the default) runs one seed at reduced workload scale;
 ``quick=False`` averages several seeds at full scale.
@@ -30,7 +30,7 @@ from .executor import run_specs
 from .reporting import FigureResult
 from .spec import (cluster_spec, parallel_spec, probe_spec, server_spec,
                    traffic_spec)
-from .strategies import COMPARISON_STRATEGIES, IRS, PLE, RELAXED_CO, VANILLA
+from .strategies import COMPARISON_STRATEGIES, IRS, VANILLA
 from .topology import NO_INTERFERENCE, InterferenceSpec
 
 # The paper's interference grids.
@@ -55,63 +55,79 @@ def _mean(values):
     return statistics.fmean(values)
 
 
-def _seed_specs(app, strategy, interference, seeds, scale, **kwargs):
-    """One parallel-run spec per seed (the unit the figures average)."""
-    return [parallel_spec(app, strategy, interference, seed=seed,
-                          scale=scale, **kwargs) for seed in seeds]
+def _outcomes(specs, run):
+    """Execute the batch once through ``run`` (None = :func:`run_specs`,
+    looked up at call time); returns the outcomes in batch order."""
+    return (run or run_specs)(specs)
 
 
-def _outcomes(specs):
-    """Execute the batch once; returns ``{spec: outcome}``. Duplicate
-    specs are fine — determinism makes their outcomes equal."""
-    return dict(zip(specs, run_specs(specs)))
+def _grid(cells, spec_for, seeds, run):
+    """Build ``spec_for(cell, seed)`` for every cell and seed, execute
+    them as one batch, and return the per-seed outcome lists in cell
+    order."""
+    batch = [spec_for(cell, seed) for cell in cells for seed in seeds]
+    outcomes = _outcomes(batch, run)
+    n = len(seeds)
+    return [outcomes[i:i + n] for i in range(0, len(batch), n)]
 
 
-def _mean_span(out, specs):
-    return _mean([out[s].makespan_ns for s in specs])
+def _versus_vanilla(cells, strategies, cfg, run, scale=None, **kwargs):
+    """The grid every vanilla-relative figure shares: each ``(key, app,
+    interference)`` cell runs every seed under vanilla and under each
+    of ``strategies``, all in one batch. Returns ``(key, {strategy:
+    outcomes})`` per cell (vanilla included), in cell order."""
+    strategies = (VANILLA,) + tuple(strategies)
+    scale = cfg['scale'] if scale is None else scale
+    runs = iter(_grid([(app, strategy, interference)
+                       for __, app, interference in cells
+                       for strategy in strategies],
+                      lambda run_cell, seed: parallel_spec(
+                          *run_cell, seed=seed, scale=scale, **kwargs),
+                      cfg['seeds'], run))
+    return [(key, {strategy: next(runs) for strategy in strategies})
+            for key, __, __ in cells]
 
 
-def _mean_rate(out, specs):
-    rates = []
-    for spec in specs:
-        outcome = out[spec]
-        if outcome.bg_rates:
-            rates.append(_mean(outcome.bg_rates))
-    return _mean(rates)
+def _mean_span(outcomes):
+    return _mean([o.makespan_ns for o in outcomes])
 
 
-def _improvement(base_ns, strat_ns):
+def _mean_rate(outcomes):
+    return _mean([_mean(o.bg_rates) for o in outcomes if o.bg_rates])
+
+
+def _improvement(base, strat):
+    """Percent makespan gain of ``strat`` over ``base`` (outcome lists)."""
+    base_ns, strat_ns = _mean_span(base), _mean_span(strat)
     if base_ns is None or strat_ns is None or strat_ns <= 0:
         return None
     return (base_ns / strat_ns - 1.0) * 100.0
+
+
+def _percent(fmt, value):
+    return fmt % value if value is not None else '--'
 
 
 # ======================================================================
 # Figure 1 — motivation
 # ======================================================================
 
-def fig1a(quick=True):
+def fig1a(quick=True, run=None):
     """Slowdown of fluidanimate (blocking), UA (spinning), raytrace
     (user-level work stealing) under one interfering VM."""
     cfg = _settings(quick)
     apps = ('fluidanimate', 'UA', 'raytrace')
-    plan = {}
-    batch = []
-    for app in apps:
-        alone = _seed_specs(app, VANILLA, NO_INTERFERENCE,
-                            cfg['seeds'], cfg['scale'])
-        inter = _seed_specs(app, VANILLA, InterferenceSpec('hogs', 1),
-                            cfg['seeds'], cfg['scale'])
-        plan[app] = (alone, inter)
-        batch += alone + inter
-    out = _outcomes(batch)
+    cells = [(app, VANILLA, interference) for app in apps
+             for interference in (NO_INTERFERENCE,
+                                  InterferenceSpec('hogs', 1))]
+    runs = _grid(cells, lambda cell, seed: parallel_spec(
+        *cell, seed=seed, scale=cfg['scale']), cfg['seeds'], run)
 
     rows = []
     notes = {}
-    for app in apps:
-        alone_specs, inter_specs = plan[app]
-        alone = _mean_span(out, alone_specs)
-        inter = _mean_span(out, inter_specs)
+    for app, alone_runs, inter_runs in zip(apps, runs[::2], runs[1::2]):
+        alone = _mean_span(alone_runs)
+        inter = _mean_span(inter_runs)
         slowdown = inter / alone if alone and inter else None
         rows.append([app, '%.0f' % (alone / MS), '%.0f' % (inter / MS),
                      '%.2fx' % slowdown if slowdown else '--'])
@@ -121,18 +137,17 @@ def fig1a(quick=True):
         ['app', 'alone (ms)', '1 interferer (ms)', 'slowdown'], rows, notes)
 
 
-def fig1b(quick=True, trials=None):
+def fig1b(quick=True, trials=None, run=None):
     """Process-migration latency vs number of interfering VMs."""
     trials = trials or (10 if quick else 30)
     levels = (0, 1, 2, 3)
-    plan = {n_vms: [probe_spec(n_vms, seed=s) for s in range(trials)]
-            for n_vms in levels}
-    out = _outcomes([spec for specs in plan.values() for spec in specs])
+    runs = _grid(levels, lambda n_vms, seed: probe_spec(n_vms, seed=seed),
+                 range(trials), run)
 
     rows = []
     notes = {}
-    for n_vms in levels:
-        lats = [out[s].probe_latency_ns for s in plan[n_vms]]
+    for n_vms, outcomes in zip(levels, runs):
+        lats = [o.probe_latency_ns for o in outcomes]
         lats = [l for l in lats if l is not None]
         mean_ms = _mean(lats) / MS if lats else None
         label = 'alone' if n_vms == 0 else '%dVM' % n_vms
@@ -147,29 +162,27 @@ def fig1b(quick=True, trials=None):
 # Figure 2 — utilization relative to fair share
 # ======================================================================
 
-def fig2(quick=True):
+def fig2(quick=True, run=None):
     """CPU utilization of the parallel VM relative to its fair share
     under one interfering hog (vanilla). Blocking builds throughout;
     raytrace's work stealing keeps utilization near the share."""
     cfg = _settings(quick)
     apps = [a for a in PARSEC if a != 'raytrace']
     apps += list(FIG2_NPB) + ['raytrace']
-    plan = {}
-    batch = []
-    for app in apps:
+
+    def spec_for(app, seed):
         # NPB profiles are spinning by default; Figure 2 uses the
         # blocking build (OMP passive).
         mode = 'block' if get_profile(app).suite == 'npb' else None
-        specs = _seed_specs(app, VANILLA, InterferenceSpec('hogs', 1),
-                            cfg['seeds'], cfg['scale'], profile_mode=mode)
-        plan[app] = specs
-        batch += specs
-    out = _outcomes(batch)
+        return parallel_spec(app, VANILLA, InterferenceSpec('hogs', 1),
+                             seed=seed, scale=cfg['scale'],
+                             profile_mode=mode)
 
     rows = []
     notes = {}
-    for app in apps:
-        value = _mean([out[s].utilization for s in plan[app]])
+    for app, outcomes in zip(apps, _grid(apps, spec_for, cfg['seeds'],
+                                         run)):
+        value = _mean([o.utilization for o in outcomes])
         rows.append([app, '%.2f' % value])
         notes[app] = value
     return FigureResult(
@@ -181,128 +194,93 @@ def fig2(quick=True):
 # Figures 5 & 6 — strategy comparison grids
 # ======================================================================
 
-def _improvement_grid(apps, interferers, quick, figure_name,
-                      widths=INTERFERENCE_WIDTHS,
-                      strategies=COMPARISON_STRATEGIES):
-    cfg = _settings(quick)
-    plan = []
-    batch = []
-    for interferer in interferers:
-        for app in apps:
-            for width in widths:
-                spec = InterferenceSpec(interferer, width)
-                base = _seed_specs(app, VANILLA, spec, cfg['seeds'],
-                                   cfg['scale'])
-                per_strategy = {
-                    strategy: _seed_specs(app, strategy, spec,
-                                          cfg['seeds'], cfg['scale'])
-                    for strategy in strategies}
-                plan.append((interferer, app, width, base, per_strategy))
-                batch += base + sum(per_strategy.values(), [])
-    out = _outcomes(batch)
-
+def _strategy_table(title, headers, cells, score, fmt, cfg, run,
+                    scale=None, **kwargs):
+    """One row per ``(key, app, interference)`` cell and one column per
+    comparison strategy, holding ``score(vanilla outcomes, strategy
+    outcomes)``. Keys are ``(interferer, app)`` or ``(interferer, app,
+    width)``; a row shows its key (the width as ``N-inter``) and
+    ``notes`` maps ``key + (strategy,)`` to the score."""
     rows = []
     notes = {}
-    for interferer, app, width, base_specs, per_strategy in plan:
-        base = _mean_span(out, base_specs)
-        row = [interferer, app, '%d-inter' % width]
-        for strategy in strategies:
-            strat = _mean_span(out, per_strategy[strategy])
-            imp = _improvement(base, strat)
-            row.append('%+.1f%%' % imp if imp is not None else '--')
-            notes[(interferer, app, width, strategy)] = imp
+    for key, per in _versus_vanilla(cells, COMPARISON_STRATEGIES, cfg, run,
+                                    scale, **kwargs):
+        row = list(key[:2]) + ['%d-inter' % width for width in key[2:]]
+        for strategy in COMPARISON_STRATEGIES:
+            value = score(per[VANILLA], per[strategy])
+            row.append(_percent(fmt, value))
+            notes[key + (strategy,)] = value
         rows.append(row)
-    headers = ['interferer', 'app', 'level'] + list(strategies)
-    return FigureResult(figure_name, headers, rows, notes)
+    return FigureResult(title, headers + list(COMPARISON_STRATEGIES),
+                        rows, notes)
 
 
-def fig5(quick=True, apps=None, interferers=None):
+def _width_cells(apps, interferers):
+    return [((interferer, app, width), app,
+             InterferenceSpec(interferer, width))
+            for interferer in interferers for app in apps
+            for width in INTERFERENCE_WIDTHS]
+
+
+def fig5(quick=True, apps=None, interferers=None, run=None):
     """PARSEC improvement over vanilla (blocking synchronization)."""
-    apps = apps or list(PARSEC)
-    interferers = interferers or PARSEC_INTERFERERS
-    return _improvement_grid(
-        apps, interferers, quick,
-        'Figure 5: PARSEC improvement over vanilla (blocking)')
+    cells = _width_cells(apps or list(PARSEC),
+                         interferers or PARSEC_INTERFERERS)
+    return _strategy_table(
+        'Figure 5: PARSEC improvement over vanilla (blocking)',
+        ['interferer', 'app', 'level'], cells, _improvement, '%+.1f%%',
+        _settings(quick), run)
 
 
-def fig6(quick=True, apps=None, interferers=None):
+def fig6(quick=True, apps=None, interferers=None, run=None):
     """NPB improvement over vanilla (spinning synchronization)."""
-    apps = apps or list(NPB)
-    interferers = interferers or NPB_INTERFERERS
-    return _improvement_grid(
-        apps, interferers, quick,
-        'Figure 6: NPB improvement over vanilla (spinning)')
+    cells = _width_cells(apps or list(NPB), interferers or NPB_INTERFERERS)
+    return _strategy_table(
+        'Figure 6: NPB improvement over vanilla (spinning)',
+        ['interferer', 'app', 'level'], cells, _improvement, '%+.1f%%',
+        _settings(quick), run)
 
 
 # ======================================================================
 # Figures 7 & 9 — weighted speedup
 # ======================================================================
 
-def _weighted_grid(apps, backgrounds, quick, figure_name,
-                   widths=INTERFERENCE_WIDTHS,
-                   strategies=COMPARISON_STRATEGIES):
-    cfg = _settings(quick)
-    plan = []
-    batch = []
-    for background in backgrounds:
-        for app in apps:
-            for width in widths:
-                spec = InterferenceSpec(background, width)
-                base = _seed_specs(app, VANILLA, spec, cfg['seeds'],
-                                   cfg['scale'])
-                per_strategy = {
-                    strategy: _seed_specs(app, strategy, spec,
-                                          cfg['seeds'], cfg['scale'])
-                    for strategy in strategies}
-                plan.append((background, app, width, base, per_strategy))
-                batch += base + sum(per_strategy.values(), [])
-    out = _outcomes(batch)
-
-    rows = []
-    notes = {}
-    for background, app, width, base_specs, per_strategy in plan:
-        base_span = _mean_span(out, base_specs)
-        base_rate = _mean_rate(out, base_specs)
-        row = [background, app, '%d-inter' % width]
-        for strategy in strategies:
-            span = _mean_span(out, per_strategy[strategy])
-            rate = _mean_rate(out, per_strategy[strategy])
-            value = None
-            if (base_span and span and base_rate and rate
-                    and base_rate > 0):
-                fg_speedup = base_span / span
-                bg_speedup = rate / base_rate
-                value = (fg_speedup + bg_speedup) / 2.0 * 100.0
-            row.append('%.0f%%' % value if value else '--')
-            notes[(background, app, width, strategy)] = value
-        rows.append(row)
-    headers = ['background', 'app', 'level'] + list(strategies)
-    return FigureResult(figure_name, headers, rows, notes)
+def _weighted_speedup(base, strat):
+    """Mean of the foreground (makespan) and background (progress
+    rate) speedups over vanilla, in percent."""
+    base_span, span = _mean_span(base), _mean_span(strat)
+    base_rate, rate = _mean_rate(base), _mean_rate(strat)
+    if not (base_span and span and base_rate and rate and base_rate > 0):
+        return None
+    return (base_span / span + rate / base_rate) / 2.0 * 100.0
 
 
 def fig7(quick=True, apps=None, backgrounds=('fluidanimate',
-                                             'streamcluster')):
+                                             'streamcluster'),
+         run=None):
     """Weighted speedup of co-located PARSEC pairs (higher is better;
     100% = vanilla parity)."""
-    apps = apps or list(PARSEC)
-    return _weighted_grid(
-        apps, backgrounds, quick,
-        'Figure 7: weighted speedup, PARSEC pairs (blocking)')
+    return _strategy_table(
+        'Figure 7: weighted speedup, PARSEC pairs (blocking)',
+        ['background', 'app', 'level'],
+        _width_cells(apps or list(PARSEC), backgrounds), _weighted_speedup,
+        '%.0f%%', _settings(quick), run)
 
 
-def fig9(quick=True, apps=None, backgrounds=('LU', 'UA')):
+def fig9(quick=True, apps=None, backgrounds=('LU', 'UA'), run=None):
     """Weighted speedup of co-located NPB pairs."""
-    apps = apps or list(NPB)
-    return _weighted_grid(
-        apps, backgrounds, quick,
-        'Figure 9: weighted speedup, NPB pairs (spinning)')
+    return _strategy_table(
+        'Figure 9: weighted speedup, NPB pairs (spinning)',
+        ['background', 'app', 'level'],
+        _width_cells(apps or list(NPB), backgrounds), _weighted_speedup,
+        '%.0f%%', _settings(quick), run)
 
 
 # ======================================================================
 # Figure 8 — server throughput and latency
 # ======================================================================
 
-def fig8(quick=True):
+def fig8(quick=True, run=None):
     """SPECjbb / ab throughput and latency improvement due to IRS.
 
     The paper reports the average new-order latency for SPECjbb and the
@@ -315,22 +293,16 @@ def fig8(quick=True):
     grid = [(kind, latency_key, n_hogs)
             for kind, latency_key in (('specjbb', 'p99'), ('ab', 'p99'))
             for n_hogs in (1, 2, 3, 4)]
-    plan = {}
-    batch = []
-    for kind, __, n_hogs in grid:
-        pair = (server_spec(kind, VANILLA, n_hogs=n_hogs,
-                            measure_ns=measure_ns),
-                server_spec(kind, IRS, n_hogs=n_hogs,
-                            measure_ns=measure_ns))
-        plan[(kind, n_hogs)] = pair
-        batch += list(pair)
-    out = _outcomes(batch)
+    runs = _grid([(kind, strategy, n_hogs) for kind, __, n_hogs in grid
+                  for strategy in (VANILLA, IRS)],
+                 lambda cell, seed: server_spec(*cell, seed=seed,
+                                                measure_ns=measure_ns),
+                 (0,), run)
 
     rows = []
     notes = {}
-    for kind, latency_key, n_hogs in grid:
-        base_spec, irs_spec = plan[(kind, n_hogs)]
-        base, irs = out[base_spec], out[irs_spec]
+    for (kind, latency_key, n_hogs), [base], [irs] in zip(
+            grid, runs[::2], runs[1::2]):
         thr_imp = ((irs.throughput / base.throughput - 1.0) * 100.0
                    if base.throughput > 0 else None)
         base_lat = base.latency_summary[latency_key]
@@ -338,9 +310,8 @@ def fig8(quick=True):
         lat_imp = ((1.0 - irs_lat / base_lat) * 100.0
                    if base_lat > 0 else None)
         rows.append([kind, '%d-inter' % n_hogs,
-                     '%+.1f%%' % thr_imp if thr_imp is not None else '--',
-                     '%+.1f%%' % lat_imp if lat_imp is not None else '--',
-                     latency_key])
+                     _percent('%+.1f%%', thr_imp),
+                     _percent('%+.1f%%', lat_imp), latency_key])
         notes[(kind, n_hogs)] = (thr_imp, lat_imp)
     return FigureResult(
         'Figure 8: server throughput / latency improvement (IRS)',
@@ -355,75 +326,48 @@ def fig8(quick=True):
 FIG10_APPS = ('x264', 'blackscholes', 'EP', 'MG')
 
 
-def fig10(quick=True, apps=FIG10_APPS):
+def _irs_gains(cells, cfg, run, **kwargs):
+    """IRS gain over vanilla per ``(key, app, interference)`` cell,
+    as ``{key: gain}`` in cell order."""
+    return {key: _improvement(per[VANILLA], per[IRS])
+            for key, per in _versus_vanilla(cells, (IRS,), cfg, run,
+                                            **kwargs)}
+
+
+def fig10(quick=True, apps=FIG10_APPS, run=None):
     """IRS gain vs number of interfered vCPUs, 8-vCPU VMs over 8 pCPUs,
     for three interference types per app."""
-    cfg = _settings(quick)
     widths = (1, 2, 4, 8) if quick else (1, 2, 3, 4, 5, 6, 7, 8)
-    plan = []
-    batch = []
-    for app in apps:
-        interferers = (NPB_INTERFERERS if get_profile(app).suite == 'npb'
-                       else PARSEC_INTERFERERS)
-        for interferer in interferers:
-            cells = []
-            for width in widths:
-                spec = InterferenceSpec(interferer, width)
-                base = _seed_specs(app, VANILLA, spec, cfg['seeds'],
-                                   cfg['scale'], n_pcpus=8, fg_vcpus=8)
-                strat = _seed_specs(app, IRS, spec, cfg['seeds'],
-                                    cfg['scale'], n_pcpus=8, fg_vcpus=8)
-                cells.append((width, base, strat))
-                batch += base + strat
-            plan.append((app, interferer, cells))
-    out = _outcomes(batch)
-
-    rows = []
-    notes = {}
-    for app, interferer, cells in plan:
-        row = [app, interferer]
-        for width, base_specs, strat_specs in cells:
-            imp = _improvement(_mean_span(out, base_specs),
-                               _mean_span(out, strat_specs))
-            row.append('%+.0f%%' % imp if imp is not None else '--')
-            notes[(app, interferer, width)] = imp
-        rows.append(row)
+    lines = [(app, interferer) for app in apps
+             for interferer in (NPB_INTERFERERS
+                                if get_profile(app).suite == 'npb'
+                                else PARSEC_INTERFERERS)]
+    notes = _irs_gains([((app, interferer, width), app,
+                         InterferenceSpec(interferer, width))
+                        for app, interferer in lines for width in widths],
+                       _settings(quick), run, n_pcpus=8, fg_vcpus=8)
+    rows = [[app, interferer] + [_percent('%+.0f%%',
+                                          notes[(app, interferer, width)])
+                                 for width in widths]
+            for app, interferer in lines]
     headers = ['app', 'interferer'] + ['%d-inter' % w for w in widths]
     return FigureResult(
         'Figure 10: IRS gain vs # of interfered vCPUs (8-vCPU VM)',
         headers, rows, notes)
 
 
-def fig11(quick=True, apps=FIG10_APPS):
+def fig11(quick=True, apps=FIG10_APPS, run=None):
     """IRS gain vs the number of interfering VMs stacked per pCPU."""
-    cfg = _settings(quick)
     depths = (1, 2, 3)
-    plan = []
-    batch = []
-    for app in apps:
-        for width in INTERFERENCE_WIDTHS:
-            cells = []
-            for n_vms in depths:
-                spec = InterferenceSpec('hogs', width, n_vms=n_vms)
-                base = _seed_specs(app, VANILLA, spec, cfg['seeds'],
-                                   cfg['scale'])
-                strat = _seed_specs(app, IRS, spec, cfg['seeds'],
-                                    cfg['scale'])
-                cells.append((n_vms, base, strat))
-                batch += base + strat
-            plan.append((app, width, cells))
-    out = _outcomes(batch)
-
-    rows = []
-    notes = {}
-    for app, width, cells in plan:
-        row = [app, '%d-inter' % width]
-        for n_vms, base_specs, strat_specs in cells:
-            imp = _improvement(_mean_span(out, base_specs),
-                               _mean_span(out, strat_specs))
-            row.append('%+.0f%%' % imp if imp is not None else '--')
-            notes[(app, width, n_vms)] = imp
-        rows.append(row)
+    lines = [(app, width) for app in apps for width in INTERFERENCE_WIDTHS]
+    notes = _irs_gains([((app, width, n_vms), app,
+                         InterferenceSpec('hogs', width, n_vms=n_vms))
+                        for app, width in lines for n_vms in depths],
+                       _settings(quick), run)
+    rows = [[app, '%d-inter' % width] + [_percent('%+.0f%%',
+                                                  notes[(app, width, n)])
+                                         for n in depths]
+            for app, width in lines]
     return FigureResult(
         'Figure 11: IRS gain vs degree of contention (1-3 interfering VMs)',
         ['app', 'level', '1 VM', '2 VMs', '3 VMs'], rows, notes)
@@ -433,65 +377,43 @@ def fig11(quick=True, apps=FIG10_APPS):
 # Figures 12 & 13 — CPU stacking (unpinned vCPUs)
 # ======================================================================
 
-def _stacking_grid(apps, interferers, quick, figure_name):
+def _stacking_table(title, apps, interferers, quick, run):
     cfg = _settings(quick)
-    scale = cfg['scale'] * 0.6      # stacked runs are slow; trim work
-    plan = []
-    batch = []
-    for interferer in interferers:
-        for app in apps:
-            spec = InterferenceSpec(interferer, 4)
-            base = _seed_specs(app, VANILLA, spec, cfg['seeds'], scale,
-                               pinned=False)
-            per_strategy = {
-                strategy: _seed_specs(app, strategy, spec, cfg['seeds'],
-                                      scale, pinned=False)
-                for strategy in COMPARISON_STRATEGIES}
-            plan.append((interferer, app, base, per_strategy))
-            batch += base + sum(per_strategy.values(), [])
-    out = _outcomes(batch)
-
-    rows = []
-    notes = {}
-    for interferer, app, base_specs, per_strategy in plan:
-        base = _mean_span(out, base_specs)
-        row = [interferer, app]
-        for strategy in COMPARISON_STRATEGIES:
-            imp = _improvement(base, _mean_span(out, per_strategy[strategy]))
-            row.append('%+.0f%%' % imp if imp is not None else '--')
-            notes[(interferer, app, strategy)] = imp
-        rows.append(row)
-    headers = ['interferer', 'app'] + list(COMPARISON_STRATEGIES)
-    return FigureResult(figure_name, headers, rows, notes)
+    cells = [((interferer, app), app, InterferenceSpec(interferer, 4))
+             for interferer in interferers for app in apps]
+    # Stacked runs are slow; trim work.
+    return _strategy_table(title, ['interferer', 'app'], cells,
+                           _improvement, '%+.0f%%', cfg, run,
+                           scale=cfg['scale'] * 0.6, pinned=False)
 
 
-def fig12(quick=True, apps=None, interferers=NPB_INTERFERERS):
+def fig12(quick=True, apps=None, interferers=NPB_INTERFERERS,
+          run=None):
     """NPB under CPU stacking (all vCPUs unpinned, 4-inter)."""
-    apps = apps or list(NPB)
-    return _stacking_grid(
-        apps, interferers, quick,
-        'Figure 12: NPB improvement under CPU stacking (unpinned)')
+    return _stacking_table(
+        'Figure 12: NPB improvement under CPU stacking (unpinned)',
+        apps or list(NPB), interferers, quick, run)
 
 
-def fig13(quick=True, apps=None, interferers=PARSEC_INTERFERERS):
+def fig13(quick=True, apps=None, interferers=PARSEC_INTERFERERS,
+          run=None):
     """PARSEC under CPU stacking: deceptive idleness territory."""
-    apps = apps or list(PARSEC)
-    return _stacking_grid(
-        apps, interferers, quick,
-        'Figure 13: PARSEC improvement under CPU stacking (unpinned)')
+    return _stacking_table(
+        'Figure 13: PARSEC improvement under CPU stacking (unpinned)',
+        apps or list(PARSEC), interferers, quick, run)
 
 
 # ======================================================================
 # Section 3.1 / 5.4 — SA overhead and fairness
 # ======================================================================
 
-def sa_overhead(quick=True):
+def sa_overhead(quick=True, run=None):
     """Profile the SA processing delay the hypervisor incurs
     (Section 3.1 reports 20-26 us)."""
     cfg = _settings(quick)
     spec = parallel_spec('streamcluster', IRS, InterferenceSpec('hogs', 2),
                          seed=cfg['seeds'][0], scale=cfg['scale'])
-    samples = _outcomes([spec])[spec].sa_delay_ns
+    samples = _outcomes([spec], run)[0].sa_delay_ns
     rows = []
     notes = {}
     if samples:
@@ -511,18 +433,18 @@ def sa_overhead(quick=True):
         rows, notes)
 
 
-def sa_latency(quick=True, strategy=IRS):
+def sa_latency(quick=True, strategy=IRS, run=None):
     """Per-phase SA-protocol latency percentiles from the span probes
     (offer, vIRQ, upcall, deschedule, ack, preempt-fire, migrate)."""
     cfg = _settings(quick)
-    # spans=True arms the SA-protocol probes; a CLI-installed
-    # --trace-out default supersedes it in the executor so the run is
+    # spans=True arms the SA-protocol probes; the CLI's --trace-out
+    # hands the runs a full ObservabilityConfig instead, so the run is
     # also exported.
     spec = parallel_spec('streamcluster', strategy,
                          InterferenceSpec('hogs', 2),
                          seed=cfg['seeds'][0], scale=cfg['scale'],
                          spans=True)
-    outcome = _outcomes([spec])[spec]
+    outcome = _outcomes([spec], run)[0]
     headers, rows, notes = sa_latency_rows(outcome.metrics.registry)
     title = ('Section 3.1: SA-protocol phase latency (strategy=%s)'
              % strategy)
@@ -535,22 +457,21 @@ def sa_latency(quick=True, strategy=IRS):
                         warnings=drop_warnings(outcome.metrics.registry))
 
 
-def fairness_check(quick=True, apps=('streamcluster', 'UA')):
+def fairness_check(quick=True, apps=('streamcluster', 'UA'),
+                   run=None):
     """Section 5.4: IRS improves the foreground VM's utilization but
     never pushes it past the fair share."""
     cfg = _settings(quick)
     grid = [(app, strategy) for app in apps
             for strategy in (VANILLA, IRS)]
-    plan = {cell: parallel_spec(cell[0], cell[1],
-                                InterferenceSpec('hogs', 4),
-                                seed=cfg['seeds'][0], scale=cfg['scale'])
-            for cell in grid}
-    out = _outcomes(list(plan.values()))
+    runs = _grid(grid, lambda cell, seed: parallel_spec(
+        *cell, InterferenceSpec('hogs', 4), seed=seed, scale=cfg['scale']),
+        cfg['seeds'][:1], run)
 
     rows = []
     notes = {}
-    for app, strategy in grid:
-        utilization = out[plan[(app, strategy)]].utilization
+    for (app, strategy), [outcome] in zip(grid, runs):
+        utilization = outcome.utilization
         rows.append([app, strategy, '%.3f' % utilization])
         notes[(app, strategy)] = utilization
     return FigureResult(
@@ -558,7 +479,7 @@ def fairness_check(quick=True, apps=('streamcluster', 'UA')):
         ['app', 'strategy', 'utilization/fair-share'], rows, notes)
 
 
-def cluster_consolidation(quick=True):
+def cluster_consolidation(quick=True, run=None):
     """Cluster extension: {vanilla, IRS} x {first_fit,
     interference_aware} placement on a 4-host cluster.
 
@@ -573,20 +494,16 @@ def cluster_consolidation(quick=True):
     grid = [(strategy, placement)
             for strategy in (VANILLA, IRS)
             for placement in ('first_fit', 'interference_aware')]
-    plan = {cell: [cluster_spec(strategy=cell[0], placement=cell[1],
-                                seed=seed, measure_ns=measure_ns)
-                   for seed in cfg['seeds']]
-            for cell in grid}
-    out = _outcomes([spec for specs in plan.values() for spec in specs])
+    runs = _grid(grid, lambda cell, seed: cluster_spec(
+        *cell, seed=seed, measure_ns=measure_ns), cfg['seeds'], run)
 
     rows = []
     notes = {}
-    for strategy, placement in grid:
-        specs = plan[(strategy, placement)]
-        throughput = _mean([out[s].throughput for s in specs])
-        p99_ms = _mean([out[s].latency_summary['p99'] for s in specs]) / MS
-        migrations = _mean([out[s].cluster['migrations'] for s in specs])
-        rejections = _mean([out[s].cluster['rejections'] for s in specs])
+    for (strategy, placement), outs in zip(grid, runs):
+        throughput = _mean([o.throughput for o in outs])
+        p99_ms = _mean([o.latency_summary['p99'] for o in outs]) / MS
+        migrations = _mean([o.cluster['migrations'] for o in outs])
+        rejections = _mean([o.cluster['rejections'] for o in outs])
         rows.append([strategy, placement, '%.0f' % throughput,
                      '%.2f' % p99_ms, '%.1f' % migrations,
                      '%.1f' % rejections])
@@ -601,7 +518,7 @@ def cluster_consolidation(quick=True):
         rows, notes)
 
 
-def cluster_resilience(quick=True):
+def cluster_resilience(quick=True, run=None):
     """Cluster fault-tolerance figure: how consolidation degrades under
     chaos campaigns, per placement policy.
 
@@ -618,24 +535,19 @@ def cluster_resilience(quick=True):
     placements = ('first_fit', 'interference_aware')
     grid = [(faults, placement) for faults in campaigns
             for placement in placements]
-    plan = {cell: [cluster_spec(strategy=IRS, placement=cell[1],
-                                seed=seed, measure_ns=measure_ns,
-                                faults=cell[0])
-                   for seed in cfg['seeds']]
-            for cell in grid}
-    out = _outcomes([spec for specs in plan.values() for spec in specs])
+    runs = _grid(grid, lambda cell, seed: cluster_spec(
+        strategy=IRS, placement=cell[1], seed=seed, measure_ns=measure_ns,
+        faults=cell[0]), cfg['seeds'], run)
 
     rows = []
     notes = {}
-    for faults, placement in grid:
-        specs = plan[(faults, placement)]
-        throughput = _mean([out[s].throughput for s in specs])
-        p99_ms = _mean([out[s].latency_summary['p99'] for s in specs]) / MS
-        crashes = _mean([out[s].cluster['host_crashes'] for s in specs])
-        aborted = _mean([out[s].cluster['aborted_migrations']
-                         for s in specs])
-        recovered = _mean([out[s].cluster['recovered'] for s in specs])
-        parked = _mean([out[s].cluster['parked'] for s in specs])
+    for (faults, placement), outs in zip(grid, runs):
+        throughput = _mean([o.throughput for o in outs])
+        p99_ms = _mean([o.latency_summary['p99'] for o in outs]) / MS
+        crashes = _mean([o.cluster['host_crashes'] for o in outs])
+        aborted = _mean([o.cluster['aborted_migrations'] for o in outs])
+        recovered = _mean([o.cluster['recovered'] for o in outs])
+        parked = _mean([o.cluster['parked'] for o in outs])
         label = faults or 'none'
         rows.append([label, placement, '%.0f' % throughput,
                      '%.2f' % p99_ms, '%.1f' % crashes, '%.1f' % aborted,
@@ -668,7 +580,8 @@ def _cluster_drop_warnings(summary):
     return warnings
 
 
-def cluster_health(quick=True, faults='cluster-chaos', seed=None):
+def cluster_health(quick=True, faults='cluster-chaos', seed=None,
+                   run=None):
     """Cluster health report: each VM's residency timeline (place ->
     crash -> orphan -> re-place / park), reconstructed from the
     structured health event log of one seeded chaos run.
@@ -685,8 +598,7 @@ def cluster_health(quick=True, faults='cluster-chaos', seed=None):
     measure_ns = 1 * SEC if quick else 2 * SEC
     spec = cluster_spec(strategy=IRS, placement='first_fit', seed=seed,
                         measure_ns=measure_ns, faults=faults, spans=True)
-    outcome = _outcomes([spec])[spec]
-    summary = outcome.cluster
+    summary = _outcomes([spec], run)[0].cluster
     events = summary['events']
 
     rows = []
@@ -707,7 +619,7 @@ def cluster_health(quick=True, faults='cluster-chaos', seed=None):
 
 
 def traffic_slo(quick=True, arrivals='poisson', rate_rps=None,
-                slo_p99_ms=None):
+                slo_p99_ms=None, run=None):
     """Traffic extension: {vanilla, IRS} x {closed, open-loop} serving
     on a consolidated cluster (every host shares its replica with a
     batch hog tenant).
@@ -731,24 +643,19 @@ def traffic_slo(quick=True, arrivals='poisson', rate_rps=None,
     grid = [(strategy, open_loop)
             for strategy in (VANILLA, IRS)
             for open_loop in (False, True)]
-    plan = {cell: [traffic_spec(strategy=cell[0], open_loop=cell[1],
-                                arrivals=arrivals, seed=seed,
-                                measure_ns=measure_ns, **kwargs)
-                   for seed in cfg['seeds']]
-            for cell in grid}
-    out = _outcomes([spec for specs in plan.values() for spec in specs])
+    runs = _grid(grid, lambda cell, seed: traffic_spec(
+        strategy=cell[0], open_loop=cell[1], arrivals=arrivals, seed=seed,
+        measure_ns=measure_ns, **kwargs), cfg['seeds'], run)
 
     rows = []
     notes = {'arrivals': arrivals}
-    for strategy, open_loop in grid:
-        specs = plan[(strategy, open_loop)]
+    for (strategy, open_loop), outs in zip(grid, runs):
         loop = 'open' if open_loop else 'closed'
-        throughput = _mean([out[s].throughput for s in specs])
-        p99_ms = _mean([out[s].latency_summary['p99'] for s in specs]) / MS
-        attainment = _mean([out[s].cluster['slo']['attainment']
-                            for s in specs])
-        shed = _mean([out[s].cluster['shed'] for s in specs])
-        meets = all(out[s].cluster['slo']['meets_slo'] for s in specs)
+        throughput = _mean([o.throughput for o in outs])
+        p99_ms = _mean([o.latency_summary['p99'] for o in outs]) / MS
+        attainment = _mean([o.cluster['slo']['attainment'] for o in outs])
+        shed = _mean([o.cluster['shed'] for o in outs])
+        meets = all(o.cluster['slo']['meets_slo'] for o in outs)
         rows.append([strategy, loop, '%.0f' % throughput,
                      '%.2f' % p99_ms, '%.4f' % attainment,
                      '%.1f' % shed, 'yes' if meets else 'NO'])

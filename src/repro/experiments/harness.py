@@ -25,36 +25,6 @@ from .topology import NO_INTERFERENCE, InterferenceSpec, build_scenario
 DEFAULT_TIMEOUT_NS = 240 * SEC
 _RUN_CHUNK_NS = 50 * MS
 
-# Fault plan applied to every run that does not pass ``fault_plan``
-# explicitly; set from the CLI's ``--faults`` flag. None = reliable
-# machine, the bit-identical reproduction path.
-_default_fault_plan = None
-_default_fault_text = None
-
-
-def set_default_fault_plan(plan, text=None):
-    """Install ``plan`` (a :class:`repro.faults.FaultPlan` or None) as
-    the campaign for every subsequent run. ``text`` is the campaign
-    string the plan was parsed from (``--faults`` dialect); the
-    executor folds it into run specs so cached/parallel runs key on it.
-    Returns the previous plan."""
-    global _default_fault_plan, _default_fault_text
-    previous = _default_fault_plan
-    _default_fault_plan = plan
-    _default_fault_text = text if plan is not None else None
-    return previous
-
-
-def default_fault_plan():
-    """The currently installed default fault plan (or None)."""
-    return _default_fault_plan
-
-
-def default_fault_text():
-    """The campaign string behind the default fault plan, when it was
-    installed with one (or None)."""
-    return _default_fault_text
-
 
 class ObservabilityConfig:
     """What a run should capture and where to export it.
@@ -83,26 +53,6 @@ class ObservabilityConfig:
         self.metrics_out = metrics_out
 
 
-# Observability applied to every run that does not pass ``observe``
-# explicitly; set from the CLI's ``--trace-out`` flag. None = no
-# capture, the zero-overhead path.
-_default_obs = None
-
-
-def set_default_observability(config):
-    """Install ``config`` (an :class:`ObservabilityConfig` or None) for
-    every subsequent run. Returns the previous config."""
-    global _default_obs
-    previous = _default_obs
-    _default_obs = config
-    return previous
-
-
-def default_observability():
-    """The currently installed default observability config (or None)."""
-    return _default_obs
-
-
 class _ObsSession:
     """One run's armed observability: stops sampling and exports."""
 
@@ -128,12 +78,10 @@ class _ObsSession:
 def _arm_observability(scenario, observe):
     """Enable span probes / timeline sampling on a fresh scenario.
     ``observe`` may be an :class:`ObservabilityConfig`, True (defaults),
-    or None to fall back to the CLI-installed default."""
-    config = observe if observe is not None else _default_obs
-    if config is None:
+    or None (off)."""
+    if observe is None:
         return None
-    if config is True:
-        config = ObservabilityConfig()
+    config = ObservabilityConfig() if observe is True else observe
     if config.spans:
         scenario.sim.trace.spans.enabled = True
     timeline = None
@@ -145,19 +93,18 @@ def _arm_observability(scenario, observe):
 
 
 def _arm_faults(scenario, fault_plan, strategy, irs_config):
-    """Attach the fault plan (explicit or default) to a freshly built
-    scenario. Returns the effective ``(injector, irs_config)`` — when a
+    """Attach ``fault_plan`` (None = reliable machine) to a freshly
+    built scenario. Returns the effective ``irs_config`` — when a
     campaign is active and the caller did not pin an IRS config, the
     graceful-degradation defenses are switched on, since measuring an
     unreliable channel with the defenses off is an ablation, not the
     default."""
-    plan = fault_plan if fault_plan is not None else _default_fault_plan
-    if plan is None:
-        return None, irs_config
-    injector = plan.build(scenario.sim).attach(scenario.machine)
+    if fault_plan is None:
+        return irs_config
+    fault_plan.build(scenario.sim).attach(scenario.machine)
     if irs_config is None and strategy in (IRS, DELAY_PREEMPT):
         irs_config = IRSConfig(degradation_enabled=True)
-    return injector, irs_config
+    return irs_config
 
 
 class ParallelRunResult:
@@ -193,18 +140,17 @@ def run_parallel(app, strategy='vanilla', interference=NO_INTERFERENCE,
     level; measure makespan, utilization, and background progress.
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) subjects the run
-    to a deterministic fault campaign; when omitted, the CLI-installed
-    default plan (``--faults``) applies, and with neither the machine
-    is perfectly reliable.
+    to a deterministic fault campaign; when omitted the machine is
+    perfectly reliable.
 
     ``observe`` (an :class:`ObservabilityConfig`, or True for the
-    defaults) turns on span probes and timeline sampling; when omitted,
-    the CLI-installed default (``--trace-out``) applies."""
+    defaults) turns on span probes and timeline sampling; when omitted
+    nothing is captured."""
     scenario = build_scenario(seed=seed, n_pcpus=n_pcpus, fg_vcpus=fg_vcpus,
                               interference=interference, pinned=pinned,
                               scale=scale)
     obs = _arm_observability(scenario, observe)
-    __, irs_config = _arm_faults(scenario, fault_plan, strategy, irs_config)
+    irs_config = _arm_faults(scenario, fault_plan, strategy, irs_config)
     irs_kernels = ([scenario.fg_kernel]
                    if strategy in (IRS, DELAY_PREEMPT) else ())
     apply_strategy(scenario.machine, strategy, irs_kernels=irs_kernels,
@@ -266,7 +212,7 @@ def run_server(kind, strategy='vanilla', n_hogs=1, seed=0, n_pcpus=4,
     scenario = build_scenario(seed=seed, n_pcpus=n_pcpus,
                               fg_vcpus=fg_vcpus, interference=interference)
     obs = _arm_observability(scenario, observe)
-    __, irs_config = _arm_faults(scenario, fault_plan, strategy, irs_config)
+    irs_config = _arm_faults(scenario, fault_plan, strategy, irs_config)
     irs_kernels = ([scenario.fg_kernel]
                    if strategy in (IRS, DELAY_PREEMPT) else ())
     apply_strategy(scenario.machine, strategy, irs_kernels=irs_kernels,

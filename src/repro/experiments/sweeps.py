@@ -7,13 +7,12 @@ optional vanilla-relative improvements. The per-figure drivers cover
 the paper's grids; sweeps are for exploring beyond them.
 
 Sweeps ride the same declarative pipeline as the figures: every point
-whose configuration is expressible as a
-:class:`~repro.experiments.spec.RunSpec` is executed through
-:func:`~repro.experiments.executor.run_specs` (one batch per sweep, so
-``--jobs`` parallelism and the result cache apply). Configurations
-carrying live objects the spec dialect cannot name — a ``profile=``
-instance, an ``irs_config=`` object — fall back to direct in-process
-:func:`run_parallel` calls.
+is a :class:`~repro.experiments.spec.RunSpec`, and the whole sweep is
+one :func:`~repro.experiments.executor.run_specs` batch. A
+configuration the spec dialect cannot name — a ``profile=`` instance,
+an ``irs_config=`` object — raises
+:class:`~repro.experiments.spec.SpecError`; use ``profile_mode=`` and
+``irs=`` instead.
 
 Example::
 
@@ -28,13 +27,12 @@ import statistics
 
 from ..simkernel.units import MS
 from .executor import run_specs
-from .harness import run_parallel
 from .reporting import FigureResult
-from .spec import parallel_spec
+from .spec import SpecError, parallel_spec
 from .strategies import VANILLA
 from .topology import NO_INTERFERENCE
 
-#: run_parallel kwargs the declarative RunSpec dialect can express.
+#: Run kwargs the declarative RunSpec dialect can express.
 _SPEC_KWARGS = frozenset((
     'strategy', 'interference', 'scale', 'n_pcpus', 'fg_vcpus', 'pinned',
     'n_threads', 'timeout_ns', 'profile_mode', 'irs', 'faults', 'spans',
@@ -74,29 +72,18 @@ class Sweep:
         self.base.setdefault('interference', NO_INTERFERENCE)
         self.seeds = tuple(seeds)
 
-    def _point_specs(self, kwargs):
-        """RunSpecs for one point, or None when ``kwargs`` carries
-        something the spec dialect cannot express."""
-        if set(kwargs) - _SPEC_KWARGS:
-            return None
-        return [parallel_spec(self.app, seed=seed, **kwargs)
-                for seed in self.seeds]
-
     def _run_points(self, kwargs_list):
-        """Results per point, batching every spec-able point through
-        one :func:`run_specs` call."""
-        per_point = [self._point_specs(kwargs) for kwargs in kwargs_list]
-        batch = [spec for specs in per_point if specs is not None
-                 for spec in specs]
-        batched = iter(run_specs(batch)) if batch else iter(())
-        results = []
-        for kwargs, specs in zip(kwargs_list, per_point):
-            if specs is not None:
-                results.append([next(batched) for __ in specs])
-            else:
-                results.append([run_parallel(self.app, seed=seed, **kwargs)
-                                for seed in self.seeds])
-        return results
+        """Per-seed outcomes of every point, as one batch."""
+        for kwargs in kwargs_list:
+            unknown = sorted(set(kwargs) - _SPEC_KWARGS)
+            if unknown:
+                raise SpecError('sweep kwarg %s has no RunSpec field'
+                                % ', '.join(map(repr, unknown)))
+        batch = [parallel_spec(self.app, seed=seed, **kwargs)
+                 for kwargs in kwargs_list for seed in self.seeds]
+        outcomes = run_specs(batch)
+        n = len(self.seeds)
+        return [outcomes[i:i + n] for i in range(0, len(batch), n)]
 
     def over(self, dimension, values, apply=None, baseline=None,
              title=None):

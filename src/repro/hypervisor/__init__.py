@@ -5,7 +5,7 @@ hypercalls, and the comparison strategies (PLE, relaxed co-scheduling,
 VM-oblivious balancing).
 """
 
-from .balance_sched import BalanceScheduler, enable_balance_scheduling
+from .balance_sched import BalanceScheduler
 from .balancer import HypervisorBalancer
 from .channels import VIRQ_SA_UPCALL, VIRQ_TIMER, EventChannels
 from .credit import CreditConfig, CreditScheduler
@@ -29,7 +29,6 @@ from .vm import VM
 
 __all__ = [
     'BalanceScheduler',
-    'enable_balance_scheduling',
     'CreditConfig',
     'CreditScheduler',
     'DelayedPreemption',

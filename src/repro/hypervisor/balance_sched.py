@@ -78,17 +78,3 @@ class BalanceScheduler:
                         moved += 1
         return moved
 
-
-def enable_balance_scheduling(machine):
-    """Deprecated: use
-    ``attach_strategies(StrategyDescriptor(balance_sched=True))``."""
-    import warnings
-
-    from .machine import StrategyDescriptor
-
-    warnings.warn(
-        'enable_balance_scheduling is deprecated; use '
-        'attach_strategies(StrategyDescriptor(balance_sched=True))',
-        DeprecationWarning, stacklevel=2)
-    machine.attach_strategies(StrategyDescriptor(balance_sched=True))
-    return machine.hv_balancer

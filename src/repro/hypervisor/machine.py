@@ -10,8 +10,6 @@ IRS — is selected by which optional components are attached:
 * ``hv_balancer`` — the VM-oblivious vCPU balancer (unpinned mode).
 """
 
-import warnings
-
 from .balance_sched import BalanceScheduler
 from .balancer import HypervisorBalancer
 from .channels import EventChannels
@@ -142,27 +140,6 @@ class Machine:
         guests opt in via ``GuestKernel.attach_delay_preempt``)."""
         self.delay_preempt = manager
         return manager
-
-    def enable_ple(self, window_ns=None):
-        """Deprecated: use ``attach_strategies(StrategyDescriptor(ple=True))``."""
-        warnings.warn(
-            'Machine.enable_ple is deprecated; use '
-            'attach_strategies(StrategyDescriptor(ple=True, ...))',
-            DeprecationWarning, stacklevel=2)
-        self.attach_strategies(
-            StrategyDescriptor(ple=True, ple_window_ns=window_ns))
-        return self.ple
-
-    def enable_relaxed_co(self, skew_threshold_ns=None):
-        """Deprecated: use
-        ``attach_strategies(StrategyDescriptor(relaxed_co=True))``."""
-        warnings.warn(
-            'Machine.enable_relaxed_co is deprecated; use '
-            'attach_strategies(StrategyDescriptor(relaxed_co=True, ...))',
-            DeprecationWarning, stacklevel=2)
-        self.attach_strategies(StrategyDescriptor(
-            relaxed_co=True, relaxed_co_skew_ns=skew_threshold_ns))
-        return self.relaxed_co
 
     def enable_unpinned_balancing(self):
         """Attach the hypervisor vCPU balancer (vCPUs float freely)."""

@@ -300,13 +300,6 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
     """
     if strategy not in HOST_STRATEGIES:
         raise ValueError('unknown strategy %r' % strategy)
-    # Lazy import, same direction rule as cluster.scenario: the
-    # experiments layer reaches this module only at call time.
-    from ..experiments.harness import (ObservabilityConfig,
-                                       default_observability)
-    obs_config = observe if observe is not None else default_observability()
-    if obs_config is True:
-        obs_config = ObservabilityConfig()
     fault_plan = None
     fault_name = None
     if faults is not None:
@@ -314,7 +307,7 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
                       else parse_fault_plan(faults))
         fault_name = fault_plan.name if fault_plan is not None else None
     sim = Simulator(seed=seed)
-    if obs_config is not None and obs_config.spans:
+    if observe is not None and observe.spans:
         sim.trace.spans.enabled = True
     specs = [HostSpec('host%d' % i, n_pcpus=host_pcpus, strategy=strategy,
                       capacity_vcpus=capacity_vcpus)
@@ -410,14 +403,14 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
     counters = {name: count
                 for name, count in sorted(sim.trace.counters.items())
                 if name.startswith(TRAFFIC_COUNTER_PREFIXES)}
-    if obs_config is not None:
-        if obs_config.trace_out:
-            write_chrome_trace(obs_config.trace_out,
+    if observe is not None:
+        if observe.trace_out:
+            write_chrome_trace(observe.trace_out,
                                spans=sim.trace.spans, now_ns=sim.now)
-        if obs_config.events_out:
-            cluster.events.write_jsonl(obs_config.events_out)
-        if obs_config.metrics_out:
-            write_exposition(obs_config.metrics_out, sim.trace.metrics)
+        if observe.events_out:
+            cluster.events.write_jsonl(observe.events_out)
+        if observe.metrics_out:
+            write_exposition(observe.metrics_out, sim.trace.metrics)
     return TrafficRunResult(
         strategy=strategy,
         placement=placement,

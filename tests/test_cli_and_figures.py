@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import InterferenceSpec, parallel_spec, run_specs
 from repro.experiments.cli import main
 from repro.experiments.figures import (
     ALL_FIGURES,
@@ -11,15 +12,7 @@ from repro.experiments.figures import (
     sa_latency,
     sa_overhead,
 )
-from repro.experiments.harness import set_default_observability
 from repro.obs.exporters import load_chrome_trace, validate_chrome_trace
-
-
-@pytest.fixture(autouse=True)
-def _reset_observability():
-    """CLI flags install module-global defaults; keep tests isolated."""
-    yield
-    set_default_observability(None)
 
 
 class TestCli:
@@ -75,6 +68,27 @@ class TestCli:
         assert main(['sa-latency', '--strategy', 'vanilla']) == 0
         out = capsys.readouterr().out
         assert 'never issues scheduler activations' in out
+
+
+class TestCliLeavesNoState:
+    """The CLI hands its flags to the runs it makes and to nothing
+    else: a library batch run afterwards in the same process is the
+    plain, fault-free, unexported run."""
+
+    def test_faults_and_exports_do_not_reach_later_runs(self, tmp_path,
+                                                        capsys):
+        target = tmp_path / 'metrics.prom'
+        assert main(['sa_overhead', '--no-cache', '--faults', 'sa-loss-30',
+                     '--metrics-out', str(target)]) == 0
+        exported = target.read_text()
+        assert 'repro_sa_offer' in exported
+        spec = parallel_spec('streamcluster', 'irs',
+                             InterferenceSpec('hogs', 1), scale=0.15)
+        [outcome] = run_specs([spec])
+        assert outcome.spec.faults is None
+        assert not any(name.startswith('faults.')
+                       for name in outcome.metrics.counters)
+        assert target.read_text() == exported
 
 
 class TestFigureDrivers:

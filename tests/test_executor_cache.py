@@ -1,6 +1,7 @@
 """Tests for the declarative run-spec pipeline: RunSpec hashing, the
 serial/parallel executors, and the determinism-keyed result cache."""
 
+import functools
 import pickle
 
 import pytest
@@ -18,21 +19,14 @@ from repro.experiments import (
     probe_spec,
     run_specs,
     server_spec,
-    set_default_cache,
-    set_default_executor,
     spec_from_dict,
 )
 from repro.experiments.cache import code_fingerprint
 from repro.experiments.figures import fig5, fig10
 
 
-@pytest.fixture(autouse=True)
-def _reset_pipeline_defaults():
-    """The CLI installs module-global executor/cache defaults; keep
-    tests isolated from each other."""
-    yield
-    set_default_executor(None)
-    set_default_cache(None)
+def _runner(executor=None, cache=None):
+    return functools.partial(run_specs, executor=executor, cache=cache)
 
 
 def _counters():
@@ -177,21 +171,19 @@ class TestFigureEquivalence:
 
     def test_fig5_quick_parallel_bit_identical(self):
         serial = fig5(quick=True).table()
-        set_default_executor(ParallelRunner(jobs=4))
-        parallel = fig5(quick=True).table()
-        assert parallel == serial
+        parallel = fig5(quick=True, run=_runner(ParallelRunner(jobs=4)))
+        assert parallel.table() == serial
 
     def test_fig10_quick_parallel_bit_identical(self):
         serial = fig10(quick=True).table()
-        set_default_executor(ParallelRunner(jobs=4))
-        parallel = fig10(quick=True).table()
-        assert parallel == serial
+        parallel = fig10(quick=True, run=_runner(ParallelRunner(jobs=4)))
+        assert parallel.table() == serial
 
     def test_fig5_quick_cached_second_run_is_free(self, tmp_path):
-        set_default_cache(ResultCache(root=str(tmp_path)))
-        first = fig5(quick=True).table()
+        run = _runner(cache=ResultCache(root=str(tmp_path)))
+        first = fig5(quick=True, run=run).table()
         mid = _counters()
-        second = fig5(quick=True).table()
+        second = fig5(quick=True, run=run).table()
         after = _counters()
         assert second == first
         assert _delta(after, mid, 'executor.dispatched') == 0
@@ -200,10 +192,10 @@ class TestFigureEquivalence:
         assert _delta(after, mid, 'runcache.hit') > 0
 
     def test_fig10_quick_cached_second_run_is_free(self, tmp_path):
-        set_default_cache(ResultCache(root=str(tmp_path)))
-        first = fig10(quick=True).table()
+        run = _runner(cache=ResultCache(root=str(tmp_path)))
+        first = fig10(quick=True, run=run).table()
         mid = _counters()
-        second = fig10(quick=True).table()
+        second = fig10(quick=True, run=run).table()
         after = _counters()
         assert second == first
         assert _delta(after, mid, 'executor.dispatched') == 0
@@ -211,13 +203,14 @@ class TestFigureEquivalence:
     def test_cluster_figure_parallel_and_cache(self, tmp_path):
         from repro.experiments.figures import cluster_consolidation
         serial = cluster_consolidation(quick=True).table()
-        set_default_executor(ParallelRunner(jobs=2))
-        parallel = cluster_consolidation(quick=True).table()
-        assert parallel == serial
-        set_default_cache(ResultCache(root=str(tmp_path)))
-        first = cluster_consolidation(quick=True).table()
+        parallel = _runner(ParallelRunner(jobs=2))
+        assert cluster_consolidation(quick=True,
+                                     run=parallel).table() == serial
+        run = _runner(ParallelRunner(jobs=2),
+                      ResultCache(root=str(tmp_path)))
+        first = cluster_consolidation(quick=True, run=run).table()
         mid = _counters()
-        second = cluster_consolidation(quick=True).table()
+        second = cluster_consolidation(quick=True, run=run).table()
         after = _counters()
         assert second == first == serial
         assert _delta(after, mid, 'executor.dispatched') == 0

@@ -1,7 +1,5 @@
 """Behavioural tests for the PLE and relaxed co-scheduling strategies."""
 
-import pytest
-
 from repro.hypervisor import Machine, StrategyDescriptor
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
@@ -137,32 +135,3 @@ class TestRelaxedCo:
         sim.run_until(1 * SEC)
         assert sim.trace.counters['relaxedco.switches'] == 0
 
-
-class TestDeprecatedShims:
-    """The enable_* shims still work but route through the descriptor
-    API and announce their deprecation."""
-
-    def _machine(self):
-        sim = Simulator(seed=9)
-        return Machine(sim, n_pcpus=2)
-
-    def test_enable_ple_warns_and_attaches(self):
-        machine = self._machine()
-        with pytest.warns(DeprecationWarning):
-            monitor = machine.enable_ple()
-        assert machine.ple is monitor is not None
-
-    def test_enable_relaxed_co_warns_and_attaches(self):
-        machine = self._machine()
-        with pytest.warns(DeprecationWarning):
-            monitor = machine.enable_relaxed_co()
-        assert machine.relaxed_co is monitor is not None
-
-    def test_enable_balance_scheduling_warns_and_wraps(self):
-        from repro.hypervisor import enable_balance_scheduling
-        from repro.hypervisor.balance_sched import BalanceScheduler
-        machine = self._machine()
-        with pytest.warns(DeprecationWarning):
-            wrapper = enable_balance_scheduling(machine)
-        assert isinstance(wrapper, BalanceScheduler)
-        assert machine.hv_balancer is wrapper

@@ -339,6 +339,68 @@ class TestLayeringPass:
             '    from repro.cluster import Cluster\n'
             '    return Cluster\n')}, ['layering']) == []
 
+    def test_upward_relative_import_flagged(self, tmp_path):
+        active = lint(tmp_path, {'repro/simkernel/mod.py':
+                                 'from ..cluster import host\n'},
+                      ['layering'])
+        assert [f.key for f in active] == ['upward:simkernel->cluster']
+
+    def test_upward_plain_import_flagged(self, tmp_path):
+        active = lint(tmp_path, {'repro/simkernel/mod.py':
+                                 'import repro.experiments.cli\n'},
+                      ['layering'])
+        assert [f.key for f in active] == ['upward:simkernel->experiments']
+
+    def test_class_body_import_counts_as_module_level(self, tmp_path):
+        active = lint(tmp_path, {'repro/simkernel/mod.py': (
+            'class C:\n'
+            '    from repro.core import install_irs\n')}, ['layering'])
+        assert [f.key for f in active] == ['upward:simkernel->core']
+
+    def test_downward_and_sibling_imports_clean(self, tmp_path):
+        assert lint(tmp_path, {'repro/simkernel/mod.py': (
+            'from repro.obs.phases import PHASE_VIRQ\n'
+            'from .units import MS\n')}, ['layering']) == []
+
+    def test_equal_rank_pair_allowed_both_ways(self, tmp_path):
+        assert lint(tmp_path, {
+            'repro/hypervisor/mod.py': 'from ..guestos import GuestKernel\n',
+            'repro/guestos/mod.py': 'from ..hypervisor import Machine\n',
+        }, ['layering']) == []
+
+    def test_unranked_package_flagged(self, tmp_path):
+        active = lint(tmp_path, {'repro/newpkg/mod.py': 'x = 1\n'},
+                      ['layering'])
+        assert [f.key for f in active] == ['unranked:newpkg']
+
+    def test_upward_absolute_import_flagged(self, tmp_path):
+        active = lint(tmp_path, {'repro/simkernel/mod.py': (
+            'import os\n'
+            'from repro.core import x\n')}, ['layering'])
+        assert [(f.line, f.key) for f in active] == [
+            (2, 'upward:simkernel->core')]
+        assert 'upward import' in active[0].message
+
+    def test_lazy_import_exempt(self, tmp_path):
+        assert lint(tmp_path, {'repro/simkernel/mod.py': (
+            'class C:\n'
+            '    def build(self):\n'
+            '        from repro.cluster import Cluster\n'
+            '        return Cluster\n'
+            'async def fetch():\n'
+            '    import repro.traffic\n')}, ['layering']) == []
+
+    def test_no_upward_imports(self):
+        # Stricter than the all-pass run: nothing suppressed or baselined.
+        findings, _ = run_passes(REPO_ROOT / 'src', pass_names=['layering'])
+        assert [f.render() for f in findings] == []
+
+    def test_every_package_is_ranked(self):
+        from tools.replint.passes.layering import RANKS
+        packages = {p.name for p in (REPO_ROOT / 'src' / 'repro').iterdir()
+                    if p.is_dir() and (p / '__init__.py').exists()}
+        assert packages == set(RANKS)
+
 
 class TestSuppression:
     def test_same_line_suppression(self, tmp_path):

@@ -1,7 +1,11 @@
 """Tests for the parameter-sweep utility."""
 
-from repro.experiments import InterferenceSpec, Sweep
+import pytest
+
+from repro.core import IRSConfig
+from repro.experiments import InterferenceSpec, SpecError, Sweep
 from repro.experiments.sweeps import SweepPoint
+from repro.workloads import get_profile
 
 
 class TestSweepPoint:
@@ -74,3 +78,12 @@ class TestSweep:
         sweep = Sweep('swaptions', base=dict(scale=0.05))
         result = sweep.over('scale', [0.05], apply=lambda kw, s: None)
         assert 'Sweep: swaptions' in result.table()
+
+    @pytest.mark.parametrize('kwarg, value', [
+        ('profile', get_profile('swaptions')),
+        ('irs_config', IRSConfig()),
+    ])
+    def test_kwarg_outside_spec_dialect_raises(self, kwarg, value):
+        sweep = Sweep('swaptions', base=dict(scale=0.05))
+        with pytest.raises(SpecError, match=kwarg):
+            sweep.over(kwarg, [value])

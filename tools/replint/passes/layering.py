@@ -13,11 +13,6 @@ back-reference is lazy (inside functions) precisely so the module
 graph stays acyclic — this pass checks *module-level* imports only, so
 a regression that hoists such an import to the top of a module fails
 the lint.
-
-This is the framework port of ``tools/check_layering.py``; the old
-entry point remains as a thin shim over the functions here, so both
-``python tools/check_layering.py`` and the pytest suite that imports
-it keep working.
 """
 
 import ast
@@ -124,29 +119,6 @@ def check_tree(tree, module_parts):
 def _module_parts(rel):
     parts = list(Path(rel).with_suffix('').parts)
     return parts
-
-
-def check_file(path, src_root):
-    """Return a list of violation strings for one source file (the
-    legacy ``check_layering.py`` interface)."""
-    path = Path(path)
-    rel = path.relative_to(src_root)
-    module_parts = _module_parts(rel)
-    if module_parts[0] != TOP_PACKAGE or len(module_parts) < 2:
-        return []
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return ['%s:%d: %s' % (rel, lineno, message)
-            for lineno, _key, message in check_tree(tree, module_parts)]
-
-
-def run_strings(src_root):
-    """All violations under ``src_root`` as legacy strings (what
-    ``tools/check_layering.py`` prints, one per line)."""
-    src_root = Path(src_root)
-    violations = []
-    for path in sorted((src_root / TOP_PACKAGE).rglob('*.py')):
-        violations.extend(check_file(path, src_root))
-    return violations
 
 
 @register_pass(PASS, 'no module-level upward imports between the '
