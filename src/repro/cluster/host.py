@@ -139,7 +139,7 @@ class Host:
             self.evict_vm(vm)
         self.state = HOST_FAILED
         self.crashes += 1
-        self.metrics.counter('crashes').inc()
+        self.metrics.count('crashes')
         self._health_mark(eventlog.EVENT_HOST_CRASH,
                   orphans=len(orphans))
         return orphans
@@ -147,7 +147,7 @@ class Host:
     def degrade(self):
         """Mark this host unhealthy; the watchdog quarantines it."""
         self.state = HOST_DEGRADED
-        self.metrics.counter('degrades').inc()
+        self.metrics.count('degrades')
         self._health_mark(eventlog.EVENT_HOST_DEGRADE)
 
     def recover(self):
@@ -155,7 +155,7 @@ class Host:
         populated after a degradation). Monitor history is stale after
         an outage, so profiles restart from a fresh window."""
         self.state = HOST_UP
-        self.metrics.counter('recoveries').inc()
+        self.metrics.count('recoveries')
         self._health_mark(eventlog.EVENT_HOST_RECOVER)
         if self.monitor is not None:
             self.monitor.profiles = {}
@@ -184,7 +184,7 @@ class Host:
         """Register a freshly created VM on this host's machine."""
         self.machine.add_vm(vm, pinning=self.pinning_for(vm.n_vcpus))
         self.resident_vms.append(vm)
-        self.metrics.counter('placements').inc()
+        self.metrics.count('placements')
         if self.monitor is not None:
             self.monitor.track(vm)
 
@@ -205,7 +205,7 @@ class Host:
             self.monitor.forget(vm)
         self.machine.detach_vm(vm)
         self.resident_vms.remove(vm)
-        self.metrics.counter('evictions').inc()
+        self.metrics.count('evictions')
 
     def adopt_vm(self, vm):
         """Live-migration resume: accept a detached VM, repoint its
@@ -213,7 +213,7 @@ class Host:
         guest work."""
         self.machine.adopt_vm(vm, pinning=self.pinning_for(vm.n_vcpus))
         self.resident_vms.append(vm)
-        self.metrics.counter('adoptions').inc()
+        self.metrics.count('adoptions')
         kernel = vm.guest
         if kernel is not None:
             # The kernel captured the source machine (and its hypercall

@@ -125,10 +125,10 @@ class HostInterferenceMonitor:
         # Publish the aggregate signals into the host's isolated metric
         # scope (its prefix guarantees no cross-host contamination).
         metrics = self.host.metrics
-        metrics.counter('monitor_windows').inc()
-        metrics.gauge('steal_pressure').set(round(self.steal_pressure, 6))
-        metrics.gauge('run_pressure').set(round(self.run_pressure, 6))
-        metrics.gauge('resident_vms').set(len(self.host.resident_vms))
+        metrics.count('monitor_windows')
+        metrics.set_gauge('steal_pressure', round(self.steal_pressure, 6))
+        metrics.set_gauge('run_pressure', round(self.run_pressure, 6))
+        metrics.set_gauge('resident_vms', len(self.host.resident_vms))
 
     # ------------------------------------------------------------------
     # Aggregate scores

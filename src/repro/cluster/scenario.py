@@ -21,10 +21,11 @@ from ..simkernel.units import MS, SEC
 from .cluster import Cluster, RebalanceDaemon, VmRequest
 from .host import HOST_STRATEGIES, HostSpec
 
-# Trace-counter prefixes surfaced in ClusterRunResult.counters — the
+# Counter prefixes surfaced in ClusterRunResult.counters — the
 # fault/recovery ledger the resilience figure and the determinism gate
-# read (parked VMs, rollbacks, leaked-reservation-free aborts, ...).
-CLUSTER_COUNTER_PREFIXES = ('cluster.', 'faults.')
+# read (parked VMs, rollbacks, leaked-reservation-free aborts, ...),
+# plus the span ring's drop count so reports can warn on truncation.
+CLUSTER_COUNTER_PREFIXES = ('cluster.', 'faults.', 'spans.dropped')
 
 
 class ClusterRunResult:
@@ -34,8 +35,7 @@ class ClusterRunResult:
                  latency_summary, migrations, rejections, dropped,
                  placements, rebalance_trips, faults=None, counters=None,
                  recovered=0, parked=0, aborted_migrations=0,
-                 host_crashes=0, events=None, event_counts=None,
-                 span_drops=0, trace_drops=0):
+                 host_crashes=0, events=None, event_counts=None):
         self.strategy = strategy
         self.placement = placement
         self.seed = seed
@@ -53,12 +53,9 @@ class ClusterRunResult:
         self.aborted_migrations = aborted_migrations
         self.host_crashes = host_crashes
         # Health event log (JSON-simple dicts, sim order) plus its
-        # per-kind tally; ring-drop counters close the loop so reports
-        # can warn when a window was truncated.
+        # per-kind tally.
         self.events = list(events or [])
         self.event_counts = dict(event_counts or {})
-        self.span_drops = span_drops
-        self.trace_drops = trace_drops
 
     def summary(self):
         """JSON-simple dict (what the pipeline caches)."""
@@ -81,8 +78,6 @@ class ClusterRunResult:
             'host_crashes': self.host_crashes,
             'events': self.events,
             'event_counts': self.event_counts,
-            'span_drops': self.span_drops,
-            'trace_drops': self.trace_drops,
         }
 
 
@@ -164,9 +159,8 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
         merged.extend(server.latency.samples)
         throughput += server.throughput()
         dropped += server.dropped
-    counters = {name: count
-                for name, count in sorted(sim.trace.counters.items())
-                if name.startswith(CLUSTER_COUNTER_PREFIXES)}
+    counters = sim.trace.metrics.counter_values(
+        prefixes=CLUSTER_COUNTER_PREFIXES)
     if observe is not None:
         if observe.trace_out:
             write_chrome_trace(observe.trace_out,
@@ -194,6 +188,4 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
         host_crashes=sum(host.crashes for host in cluster.hosts),
         events=cluster.events.to_dicts(),
         event_counts=cluster.events.counts(),
-        span_drops=sim.trace.spans.dropped,
-        trace_drops=sim.trace.counters.get('trace.dropped', 0),
     )

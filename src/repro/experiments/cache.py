@@ -137,14 +137,14 @@ class ResultCache:
             with open(path, 'rb') as handle:
                 envelope = pickle.load(handle)
         except FileNotFoundError:
-            METRICS.counter('runcache.miss').inc()
+            METRICS.count('runcache.miss')
             _profile(eventlog.EVENT_CACHE_MISS, spec=spec.describe())
             return None
         except Exception:
             # Torn write, stale pickle protocol, garbage: a miss, and
             # the entry is gone so it cannot keep failing.
             self._evict(path)
-            METRICS.counter('runcache.miss').inc()
+            METRICS.count('runcache.miss')
             _profile(eventlog.EVENT_CACHE_MISS, spec=spec.describe(),
                      reason='corrupt')
             return None
@@ -152,11 +152,11 @@ class ResultCache:
                 or envelope.get('format') != CACHE_FORMAT
                 or envelope.get('token') != spec.cache_token()):
             self._evict(path)
-            METRICS.counter('runcache.miss').inc()
+            METRICS.count('runcache.miss')
             _profile(eventlog.EVENT_CACHE_MISS, spec=spec.describe(),
                      reason='stale')
             return None
-        METRICS.counter('runcache.hit').inc()
+        METRICS.count('runcache.hit')
         _profile(eventlog.EVENT_CACHE_HIT, spec=spec.describe())
         return envelope['outcome']
 
@@ -170,7 +170,7 @@ class ResultCache:
         with open(tmp, 'wb') as handle:
             pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
-        METRICS.counter('runcache.store').inc()
+        METRICS.count('runcache.store')
         _profile(eventlog.EVENT_CACHE_STORE, spec=spec.describe())
 
     @staticmethod

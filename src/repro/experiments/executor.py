@@ -66,7 +66,7 @@ def execute_spec(spec, observe=None):
     ``spans``/``timeline`` flags and names the files to export; it
     changes what is captured, never the outcome.
     """
-    METRICS.counter('executor.runs').inc()
+    METRICS.count('executor.runs')
     if observe is None and (spec.spans or spec.timeline):
         observe = ObservabilityConfig(spans=spec.spans,
                                       timeline=spec.timeline)
@@ -176,7 +176,7 @@ class SerialExecutor:
     def map(self, specs):
         outcomes = []
         for spec in specs:
-            METRICS.counter('executor.dispatched').inc()
+            METRICS.count('executor.dispatched')
             started = time.monotonic_ns()  # replint: disable=determinism
             PROFILE_LOG.append(started, eventlog.EVENT_SPEC_DISPATCH,
                                spec=spec.describe(), jobs=1)
@@ -241,14 +241,14 @@ class ParallelRunner:
                     outcomes[i] = futures[i].result(
                         timeout=self.wall_timeout)
                 except concurrent.futures.TimeoutError as exc:
-                    METRICS.counter('executor.wall_timeouts').inc()
+                    METRICS.count('executor.wall_timeouts')
                     self._kill_pool(pool)
                     if i in retried:
                         raise RunError(spec, TimeoutError(
                             'no result within %.1fs wall time (twice)'
                             % self.wall_timeout)) from exc
                     retried.add(i)
-                    METRICS.counter('executor.timeout_retries').inc()
+                    METRICS.count('executor.timeout_retries')
                     PROFILE_LOG.append(time.monotonic_ns(),  # replint: disable=determinism
                                        eventlog.EVENT_SPEC_RETRY,
                                        spec=spec.describe())
@@ -280,7 +280,7 @@ class ParallelRunner:
         futures = []
         submitted = []
         for spec in specs:
-            METRICS.counter('executor.dispatched').inc()
+            METRICS.count('executor.dispatched')
             now = time.monotonic_ns()  # replint: disable=determinism
             submitted.append(now)
             PROFILE_LOG.append(now, eventlog.EVENT_SPEC_DISPATCH,

@@ -454,7 +454,7 @@ def sa_latency(quick=True, strategy=IRS, run=None):
         notes['empty_reason'] = reason
         rows = [['(none)', '0', '--', '--', '--', '--', reason]]
     return FigureResult(title, headers, rows, notes,
-                        warnings=drop_warnings(outcome.metrics.registry))
+                        warnings=drop_warnings(outcome.metrics.counters))
 
 
 def fairness_check(quick=True, apps=('streamcluster', 'UA'),
@@ -564,22 +564,6 @@ def cluster_resilience(quick=True, run=None):
         rows, notes)
 
 
-def _cluster_drop_warnings(summary):
-    """Warning lines for a cluster run's saturated observability rings
-    (the cluster summary carries the counts; there is no registry to
-    hand to :func:`~repro.obs.report.drop_warnings`)."""
-    warnings = []
-    for key, what in (('span_drops', 'span ring overflowed'),
-                      ('trace_drops', 'trace-record ring overflowed')):
-        count = summary.get(key, 0)
-        if count:
-            warnings.append(
-                'warning: %s — %d oldest entries dropped; counters are '
-                'complete, but exported windows are truncated (raise '
-                'the ring capacity to keep them)' % (what, count))
-    return warnings
-
-
 def cluster_health(quick=True, faults='cluster-chaos', seed=None,
                    run=None):
     """Cluster health report: each VM's residency timeline (place ->
@@ -615,7 +599,7 @@ def cluster_health(quick=True, faults='cluster-chaos', seed=None,
         'Cluster extension: per-VM residency timelines'
         ' (faults=%s, seed=%d)' % (faults or 'none', seed),
         ['vm', 'steps', 'residency'], rows, notes,
-        warnings=_cluster_drop_warnings(summary))
+        warnings=drop_warnings(summary['counters']))
 
 
 def traffic_slo(quick=True, arrivals='poisson', rate_rps=None,

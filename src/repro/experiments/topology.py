@@ -62,12 +62,11 @@ class Scenario:
 
 
 def build_scenario(seed=0, n_pcpus=4, fg_vcpus=4,
-                   interference=NO_INTERFERENCE, pinned=True, scale=1.0,
-                   trace=False):
+                   interference=NO_INTERFERENCE, pinned=True, scale=1.0):
     """Construct the machine and VMs for one run. The foreground VM is
     created with its guest kernel but no workload yet; interference is
     fully installed. Returns a :class:`Scenario`."""
-    sim = Simulator(seed=seed, trace=trace)
+    sim = Simulator(seed=seed)
     machine = Machine(sim, n_pcpus=n_pcpus)
     if not pinned:
         machine.enable_unpinned_balancing()

@@ -10,12 +10,11 @@ injections per kind, SA retries/suppressions, migrator recoveries,
 sanitizer checks — under :attr:`RunMetrics.fault_counters` and
 :attr:`RunMetrics.degradation_counters`.
 
-The snapshot is backed by a typed
+The snapshot is a frozen copy of the run's
 :class:`~repro.obs.histograms.MetricsRegistry`
-(:attr:`RunMetrics.registry`): the tracer's raw counters are folded in
-as typed counters next to the span-phase latency histograms, and all
-counter views are prefix filters over the registry rather than ad-hoc
-``Counter`` scraping.
+(:attr:`RunMetrics.registry`), the one store every ``trace.count``,
+scoped host metric and span-phase histogram writes to; all counter
+views are prefix filters over it.
 """
 
 #: Trace-counter prefixes that belong to the fault plane (injections).
@@ -31,16 +30,6 @@ DEGRADATION_COUNTER_PREFIXES = (
     'irs.migrator_fail', 'irs.migrator_recover', 'irs.migrator_probe',
     'irs.migrator_stranded', 'cluster.', 'sanitizer.',
 )
-
-
-def registry_from_tracer(trace):
-    """Frozen :class:`MetricsRegistry` for one finished run: the
-    tracer's typed metrics (phase histograms, obs counters) plus its
-    legacy raw counters folded in as typed counters."""
-    registry = trace.metrics.snapshot()
-    for name, value in trace.counters.items():
-        registry.counter(name).inc(value)
-    return registry
 
 
 class VmMetrics:
@@ -90,7 +79,7 @@ class RunMetrics:
         for kernel in kernels:
             for task in kernel.tasks:
                 self.tasks[task.name] = TaskMetrics(task)
-        self.registry = registry_from_tracer(machine.sim.trace)
+        self.registry = machine.sim.trace.metrics.snapshot()
         self.counters = self.registry.counter_values()
         self.fault_counters = self.registry.counter_values(
             prefixes=FAULT_COUNTER_PREFIXES)

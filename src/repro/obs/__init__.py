@@ -7,7 +7,7 @@ The instrumentation plane of the reproduction (docs/observability.md):
 * :mod:`repro.obs.phases` - the SA-protocol phase taxonomy the probes
   in ``repro.core`` and ``repro.hypervisor`` emit;
 * :mod:`repro.obs.histograms` - log-bucketed latency histograms and
-  the typed counter/gauge/histogram registry (plus prefix-scoped,
+  the run's one counter/gauge/histogram registry (plus prefix-scoped,
   labelled per-host views);
 * :mod:`repro.obs.exporters` - Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) with per-host cluster process groups and flow
@@ -38,8 +38,6 @@ from .exporters import (
 )
 from .exposition import render_exposition, write_exposition
 from .histograms import (
-    CounterMetric,
-    GaugeMetric,
     LogHistogram,
     MetricsRegistry,
     ScopedRegistry,
@@ -69,9 +67,7 @@ __all__ = [
     'ALL_PHASES',
     'CLUSTER_EVENT_KINDS',
     'CLUSTER_TRACK_PREFIX',
-    'CounterMetric',
     'EventLog',
-    'GaugeMetric',
     'LogHistogram',
     'MetricsRegistry',
     'PHASE_ACK',

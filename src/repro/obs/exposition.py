@@ -1,12 +1,12 @@
 """Prometheus-style text exposition of a :class:`MetricsRegistry`.
 
-A snapshot writer, not a server: :func:`render_exposition` turns the
-registry's typed metrics into the Prometheus text format (one ``# TYPE``
-header per family, ``_total`` suffix on counters, histograms as
-count/sum/quantile summaries), and :func:`write_exposition` drops it in
-a file. Per-host labelled views come from
+A snapshot writer, not a server: :func:`render_exposition` turns every
+counter, gauge and histogram of the registry into the Prometheus text
+format (one ``# TYPE`` header per family, ``_total`` suffix on
+counters, histograms as count/sum/quantile summaries), and
+:func:`write_exposition` drops it in a file. Per-host labelled views come from
 :meth:`~repro.obs.histograms.MetricsRegistry.scoped`: every metric a
-scoped view creates remembers its *family* (the unscoped name) and its
+scoped view writes remembers its *family* (the unscoped name) and its
 labels, so ``host.host0.placements`` and ``host.host1.placements``
 render as two samples of one labelled ``placements`` family::
 
@@ -54,15 +54,17 @@ def render_exposition(registry, namespace='repro', prefixes=None):
     """
     # family -> (kind, [(labels, metric), ...]); families sorted at emit.
     families = {}
-    for name in registry.names(prefixes=prefixes):
-        metric = registry.get(name)
-        meta = registry.metric_meta(name)
-        family, labels = meta if meta is not None else (name, {})
-        entry = families.setdefault(family, (metric.kind, []))
-        if entry[0] != metric.kind:
-            raise TypeError('family %r mixes kinds %s and %s'
-                            % (family, entry[0], metric.kind))
-        entry[1].append((labels, metric))
+    for kind, store in registry.by_kind():
+        for name, metric in store.items():
+            if prefixes is not None and not name.startswith(tuple(prefixes)):
+                continue
+            meta = registry.metric_meta(name)
+            family, labels = meta if meta is not None else (name, {})
+            entry = families.setdefault(family, (kind, []))
+            if entry[0] != kind:
+                raise TypeError('family %r mixes kinds %s and %s'
+                                % (family, entry[0], kind))
+            entry[1].append((labels, metric))
 
     lines = []
     total_samples = 0
@@ -74,13 +76,13 @@ def render_exposition(registry, namespace='repro', prefixes=None):
             lines.append('# TYPE %s_total counter' % base)
             for labels, metric in samples:
                 lines.append('%s_total%s %d'
-                             % (base, _labels_text(labels), metric.value))
+                             % (base, _labels_text(labels), metric))
                 total_samples += 1
         elif kind == 'gauge':
             lines.append('# TYPE %s gauge' % base)
             for labels, metric in samples:
                 lines.append('%s%s %s'
-                             % (base, _labels_text(labels), metric.value))
+                             % (base, _labels_text(labels), metric))
                 total_samples += 1
         else:
             lines.append('# TYPE %s summary' % base)

@@ -8,16 +8,19 @@ count. That is what lets a multi-second run keep full-fidelity
 percentiles of 20 µs scheduler-activation phases without retaining the
 samples themselves.
 
-The :class:`MetricsRegistry` is the typed face of the measurement
-plane: named counters, gauges, and histograms created on first use.
-:class:`~repro.metrics.collector.RunMetrics` snapshots it at the end of
-a run instead of prefix-scraping a raw ``Counter``.
+The :class:`MetricsRegistry` is the run's one metric store: counters
+and gauges as plain values in two dicts, histograms as
+:class:`LogHistogram` objects. The tracer's counter dict *is* the
+registry's (:attr:`repro.simkernel.tracing.Tracer.counters`), and
+:class:`~repro.metrics.collector.RunMetrics` snapshots the registry at
+the end of a run.
 
 This module is dependency-free on purpose: :mod:`repro.simkernel.tracing`
 imports it, so it must not import anything from the simkernel.
 """
 
 import math
+from collections import Counter
 
 #: Linear sub-buckets per power-of-two octave. 16 gives <= ~6% relative
 #: quantile error - tight enough to resolve the paper's 20-26 us band.
@@ -77,7 +80,7 @@ DECLARED_METRICS = frozenset((
     'traffic.reroute', 'traffic.scale_downs', 'traffic.scale_rejected',
     'traffic.scale_ups', 'traffic.shed', 'traffic.unroutable',
     # observability self-accounting
-    'spans.dropped', 'trace.dropped',
+    'spans.dropped',
     # wall-clock pipeline profiling (experiments layer; not part of
     # the deterministic in-simulation vocabulary)
     'executor.dispatched', 'executor.run_wall_ns', 'executor.runs',
@@ -225,46 +228,10 @@ class LogHistogram:
         return '<LogHistogram %s n=%d>' % (self.name, self.count)
 
 
-class CounterMetric:
-    """Monotonic counter."""
-
-    __slots__ = ('name', 'value')
-    kind = 'counter'
-
-    def __init__(self, name, value=0):
-        self.name = name
-        self.value = value
-
-    def inc(self, amount=1):
-        if amount < 0:
-            raise ValueError('counters only go up (got %r)' % amount)
-        self.value += amount
-
-    def __repr__(self):
-        return '<Counter %s=%d>' % (self.name, self.value)
-
-
-class GaugeMetric:
-    """Last-write-wins instantaneous value."""
-
-    __slots__ = ('name', 'value')
-    kind = 'gauge'
-
-    def __init__(self, name, value=0):
-        self.name = name
-        self.value = value
-
-    def set(self, value):
-        self.value = value
-
-    def __repr__(self):
-        return '<Gauge %s=%r>' % (self.name, self.value)
-
-
 class ScopedRegistry:
     """Prefix-scoped, label-carrying view of a :class:`MetricsRegistry`.
 
-    Every metric created through the view lives in the parent registry
+    Every metric written through the view lives in the parent registry
     under ``prefix + name`` and remembers ``name`` as its *family* plus
     the view's labels — which is what lets the Prometheus exposition
     (:mod:`repro.obs.exposition`) fold ``host.host0.placements`` and
@@ -280,125 +247,130 @@ class ScopedRegistry:
         self.prefix = prefix
         self.labels = dict(labels or {})
 
-    def _bind(self, metric, name):
-        self.registry.set_meta(metric.name, name, self.labels)
-        return metric
+    def _scoped(self, name):
+        full = self.prefix + name
+        self.registry._meta.setdefault(full, (name, self.labels))
+        return full
 
-    def counter(self, name):
-        return self._bind(self.registry.counter(self.prefix + name), name)
+    def count(self, name, n=1):
+        self.registry.count(self._scoped(name), n)
 
-    def gauge(self, name):
-        return self._bind(self.registry.gauge(self.prefix + name), name)
-
-    def histogram(self, name):
-        return self._bind(self.registry.histogram(self.prefix + name), name)
-
-    def counter_values(self):
-        """``{scoped-name: value}`` for this scope's counters only."""
-        return {name[len(self.prefix):]: value
-                for name, value in self.registry.counter_values(
-                    prefixes=(self.prefix,)).items()}
+    def set_gauge(self, name, value):
+        self.registry.set_gauge(self._scoped(name), value)
 
     def __repr__(self):
         return '<ScopedRegistry %s%s>' % (self.prefix, self.labels or '')
 
 
-class MetricsRegistry:
-    """Named, typed metrics created on first use.
+class _Counts(Counter):
+    """A registry's counter dict. Only a name's first touch pays for
+    the kind check (``__missing__``); every later ``+=`` is a plain
+    :class:`~collections.Counter` write, which is what keeps
+    ``trace.count`` on the hot path as cheap as a raw ``Counter``."""
 
-    A name is permanently bound to its first type; asking for the same
-    name as a different type is a programming error and raises.
+    def __init__(self, registry):
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, name):
+        self.registry._claim(name, 'counter')
+        return 0
+
+    def __reduce__(self):
+        # Keep the registry link across pickling (run-cache entries and
+        # worker results carry registry snapshots).
+        return type(self), (self.registry,), None, None, iter(self.items())
+
+
+class MetricsRegistry:
+    """The run's one metric store: counters, gauges and histograms.
+
+    Counters and gauges are plain values in two dicts
+    (:attr:`counters` is a :class:`~collections.Counter`, so a missing
+    name reads as 0); histograms are :class:`LogHistogram` objects
+    created on first use. A name is permanently bound to its first
+    kind: using it as another kind raises ``TypeError``, and counters
+    only go up.
     """
 
     def __init__(self):
-        self._metrics = {}
+        self.counters = _Counts(self)
+        self.gauges = {}
+        self.histograms = {}
         self._meta = {}              # name -> (family, labels) for scopes
 
-    def _get(self, name, factory, kind):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = factory(name)
-            self._metrics[name] = metric
-        elif metric.kind != kind:
-            raise TypeError('metric %r is a %s, not a %s'
-                            % (name, metric.kind, kind))
-        return metric
+    def by_kind(self):
+        """``((kind, {name: value}), ...)`` for the three stores."""
+        return (('counter', self.counters), ('gauge', self.gauges),
+                ('histogram', self.histograms))
 
-    def counter(self, name):
-        return self._get(name, CounterMetric, 'counter')
+    def _claim(self, name, kind):
+        for other, store in self.by_kind():
+            if other != kind and name in store:
+                raise TypeError('metric %r is a %s, not a %s'
+                                % (name, other, kind))
 
-    def gauge(self, name):
-        return self._get(name, GaugeMetric, 'gauge')
+    def count(self, name, n=1):
+        """Add ``n`` to counter ``name``."""
+        if n < 0:
+            raise ValueError('counters only go up (got %r)' % n)
+        self.counters[name] += n
+
+    def set_gauge(self, name, value):
+        """Set gauge ``name`` (last write wins)."""
+        if name not in self.gauges:
+            self._claim(name, 'gauge')
+        self.gauges[name] = value
 
     def histogram(self, name):
-        return self._get(name, LogHistogram, 'histogram')
+        """The :class:`LogHistogram` named ``name`` (created on first
+        use)."""
+        metric = self.histograms.get(name)
+        if metric is None:
+            self._claim(name, 'histogram')
+            metric = self.histograms[name] = LogHistogram(name)
+        return metric
 
     def scoped(self, prefix, **labels):
-        """A :class:`ScopedRegistry` view: metrics created through it
+        """A :class:`ScopedRegistry` view: metrics written through it
         live under ``prefix + name`` and carry ``labels`` (rendered by
         the Prometheus exposition). Views with distinct prefixes are
         isolated from each other by construction."""
         return ScopedRegistry(self, prefix, labels)
-
-    def set_meta(self, name, family, labels):
-        """Record the (family, labels) identity of a scoped metric."""
-        self._meta[name] = (family, dict(labels))
 
     def metric_meta(self, name):
         """``(family, labels)`` of a scoped metric, or None."""
         return self._meta.get(name)
 
     def __contains__(self, name):
-        return name in self._metrics
-
-    def __iter__(self):
-        return iter(sorted(self._metrics))
+        return any(name in store for __, store in self.by_kind())
 
     def __len__(self):
-        return len(self._metrics)
-
-    def get(self, name):
-        return self._metrics.get(name)
-
-    def names(self, kind=None, prefixes=None):
-        """Sorted metric names, optionally filtered by kind/prefixes."""
-        out = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if kind is not None and metric.kind != kind:
-                continue
-            if prefixes is not None and not name.startswith(tuple(prefixes)):
-                continue
-            out.append(name)
-        return out
+        return sum(len(store) for __, store in self.by_kind())
 
     def counter_values(self, prefixes=None):
-        """``{name: value}`` for counters (optionally prefix-filtered)."""
-        return {name: self._metrics[name].value
-                for name in self.names(kind='counter', prefixes=prefixes)}
+        """``{name: value}`` for counters (optionally prefix-filtered),
+        sorted by name."""
+        return {name: self.counters[name]
+                for name in sorted(self.counters)
+                if prefixes is None or name.startswith(tuple(prefixes))}
 
     def histogram_summaries(self, prefixes=None):
-        """``{name: summary-dict}`` for histograms."""
-        return {name: self._metrics[name].summary()
-                for name in self.names(kind='histogram', prefixes=prefixes)}
+        """``{name: summary-dict}`` for histograms, sorted by name."""
+        return {name: self.histograms[name].summary()
+                for name in sorted(self.histograms)
+                if prefixes is None or name.startswith(tuple(prefixes))}
 
     def snapshot(self):
         """Deep-copied registry frozen at this instant."""
         clone = MetricsRegistry()
-        for name, metric in self._metrics.items():
-            if metric.kind == 'histogram':
-                clone._metrics[name] = metric.copy()
-            elif metric.kind == 'counter':
-                clone._metrics[name] = CounterMetric(name, metric.value)
-            else:
-                clone._metrics[name] = GaugeMetric(name, metric.value)
+        clone.counters.update(self.counters)
+        clone.gauges.update(self.gauges)
+        clone.histograms = {name: metric.copy()
+                            for name, metric in self.histograms.items()}
         clone._meta = {name: (family, dict(labels))
                        for name, (family, labels) in self._meta.items()}
         return clone
 
-    def clear(self):
-        self._metrics.clear()
-        self._meta.clear()
-
     def __repr__(self):
-        return '<MetricsRegistry %d metrics>' % len(self._metrics)
+        return '<MetricsRegistry %d metrics>' % len(self)

@@ -23,8 +23,8 @@ def phase_summaries(registry, phases=ALL_PHASES):
     in taxonomy order."""
     out = {}
     for phase in phases:
-        metric = registry.get(phase)
-        if metric is None or metric.kind != 'histogram' or metric.count == 0:
+        metric = registry.histograms.get(phase)
+        if metric is None or metric.count == 0:
             continue
         out[phase] = metric.summary()
     return out
@@ -80,25 +80,19 @@ def explain_empty(strategy, spans_enabled):
 #: missing the oldest data, which must not fail silently.
 DROP_COUNTERS = (
     ('spans.dropped', 'span ring overflowed'),
-    ('trace.dropped', 'trace-record ring overflowed'),
 )
 
 
-def drop_warnings(registry):
+def drop_warnings(counts):
     """One warning line per saturated observability ring (empty when
-    nothing was dropped). Reports print these verbatim."""
-    warnings = []
-    for name, what in DROP_COUNTERS:
-        metric = registry.get(name)
-        if metric is None or metric.kind != 'counter':
-            continue
-        if metric.value > 0:
-            warnings.append(
-                'warning: %s — %d oldest entries dropped; histograms '
-                'and counters are complete, but exported windows are '
-                'truncated (raise the ring capacity to keep them)'
-                % (what, metric.value))
-    return warnings
+    nothing was dropped), from a ``{counter name: count}`` mapping
+    (``RunMetrics.counters`` or a cluster summary's ``counters``).
+    Reports print these verbatim."""
+    return ['warning: %s — %d oldest entries dropped; histograms '
+            'and counters are complete, but exported windows are '
+            'truncated (raise the ring capacity to keep them)'
+            % (what, counts[name])
+            for name, what in DROP_COUNTERS if counts.get(name, 0) > 0]
 
 
 def format_text_report(registry, title='SA-protocol latency'):

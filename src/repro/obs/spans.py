@@ -139,7 +139,7 @@ class SpanRecorder:
             # Mirrored into the registry so end-of-run snapshots (and
             # the sa-latency / cluster-health reports) can warn that
             # the ring saturated instead of failing silently.
-            self.registry.counter('spans.dropped').inc()
+            self.registry.count('spans.dropped')
 
     # ------------------------------------------------------------------
     # Introspection

@@ -13,7 +13,7 @@ from .sanitizer import (
     install_sanitizer,
 )
 from .simulation import LivelockError, SimulationError, Simulator
-from .tracing import TraceRecord, Tracer
+from .tracing import Tracer
 from .units import MICROSECOND, MILLISECOND, MS, NS, SEC, SECOND, US, format_ns
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     'Simulator',
     'Violation',
     'install_sanitizer',
-    'TraceRecord',
     'Tracer',
     'US',
     'format_ns',

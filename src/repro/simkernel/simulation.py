@@ -59,17 +59,18 @@ class Simulator:
     Attributes:
         now: current simulation time in integer nanoseconds.
         rng: the :class:`RngRegistry` for all model randomness.
-        trace: the :class:`Tracer` for counters and debug records.
+        trace: the :class:`Tracer` holding the run's metric registry
+            and span recorder.
         sanitizer: optional runtime invariant checker (see
             :mod:`repro.simkernel.sanitizer`); machines attach
             themselves to it on construction when present.
     """
 
-    def __init__(self, seed=0, trace=False, trace_categories=None):
+    def __init__(self, seed=0):
         self.now = 0
         self._queue = EventQueue()
         self.rng = RngRegistry(seed)
-        self.trace = Tracer(enabled=trace, categories=trace_categories)
+        self.trace = Tracer()
         self._stopped = False
         self._events_processed = 0
         self._post_event_hooks = []

@@ -1,107 +1,29 @@
-"""Lightweight tracing, counters, spans, and typed metrics.
+"""The simulator's counter store and span probes.
 
-The tracer records structured events (time, category, payload) when
-enabled and maintains named counters unconditionally. Counters are the
-backbone of the metrics layer; the event trace exists for debugging and
-for tests that assert on scheduler behaviour sequences.
+Every :class:`~repro.simkernel.simulation.Simulator` owns one
+:class:`Tracer`, which carries the run's observability state:
 
-Two observability hooks ride on every tracer (see ``repro.obs``):
-
+* :attr:`Tracer.metrics` - the :class:`~repro.obs.histograms.MetricsRegistry`,
+  the run's one store of counters, gauges and histograms;
+* :attr:`Tracer.counters` - the registry's counter dict itself (not a
+  copy), and :meth:`Tracer.count` - the registry's ``count``, so the
+  hot-path ``trace.count(name)`` writes straight into the registry;
 * :attr:`Tracer.spans` - a :class:`~repro.obs.spans.SpanRecorder` for
   begin/end phase spans (SA protocol probes). Disabled by default;
-  every probe is a single-attribute-test no-op until enabled.
-* :attr:`Tracer.metrics` - the :class:`~repro.obs.histograms.MetricsRegistry`
-  holding typed counters/gauges/histograms. Span durations feed the
-  histogram named after their phase automatically.
-
-Event records are bounded: the ``max_records`` ring keeps the newest
-records and counts evictions under ``trace.dropped``, so a long traced
-run can no longer grow without limit.
+  every probe is a single-attribute-test no-op until enabled. Span
+  durations feed the histogram named after their phase.
 """
-
-from collections import Counter
 
 from ..obs.histograms import MetricsRegistry
 from ..obs.spans import SpanRecorder
 
-#: Default cap on retained trace records (the newest are kept).
-DEFAULT_MAX_RECORDS = 100_000
-
-
-class TraceRecord:
-    """One trace entry: what happened, when, and to whom."""
-
-    __slots__ = ('time', 'category', 'detail')
-
-    def __init__(self, time, category, detail):
-        self.time = time
-        self.category = category
-        self.detail = detail
-
-    def __repr__(self):
-        return '<%d %s %r>' % (self.time, self.category, self.detail)
-
 
 class Tracer:
-    """Collects :class:`TraceRecord` entries, counters, and spans."""
+    """A run's metric registry, its counter dict, and its spans."""
 
-    def __init__(self, enabled=False, categories=None,
-                 max_records=DEFAULT_MAX_RECORDS):
-        if max_records is not None and max_records < 1:
-            raise ValueError('max_records must be >= 1 (or None)')
-        self.enabled = enabled
-        self.categories = set(categories) if categories else None
-        self.max_records = max_records
-        self.counters = Counter()
+    def __init__(self):
         self.metrics = MetricsRegistry()
+        self.counters = self.metrics.counters
+        # The bound method itself: no wrapper call on the hot path.
+        self.count = self.metrics.count
         self.spans = SpanRecorder(registry=self.metrics)
-        self.dropped = 0
-        self._records = []
-        self._head = 0              # ring start index once wrapped
-
-    @property
-    def records(self):
-        """Retained trace records, oldest first."""
-        if self._head == 0:
-            return self._records
-        return self._records[self._head:] + self._records[:self._head]
-
-    def emit(self, time, category, **detail):
-        """Record a trace event if tracing is on for this category.
-
-        Storage is a ring of ``max_records``: once full, the oldest
-        record is evicted and ``trace.dropped`` incremented."""
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
-        record = TraceRecord(time, category, detail)
-        if (self.max_records is not None
-                and len(self._records) >= self.max_records):
-            self._records[self._head] = record
-            self._head = (self._head + 1) % self.max_records
-            self.dropped += 1
-            self.counters['trace.dropped'] += 1
-        else:
-            self._records.append(record)
-
-    def count(self, name, amount=1):
-        """Increment counter ``name`` by ``amount``."""
-        self.counters[name] += amount
-
-    def add_time(self, name, duration_ns):
-        """Accumulate a duration (ns) under counter ``name``."""
-        self.counters[name] += duration_ns
-
-    def records_for(self, category):
-        """All trace records of one category, in emission order."""
-        return [r for r in self.records if r.category == category]
-
-    def clear(self):
-        """Drop all records, counters, spans, and metrics."""
-        self._records = []
-        self._head = 0
-        self.dropped = 0
-        self.counters.clear()
-        self.spans.clear()
-        self.metrics.clear()

@@ -32,10 +32,11 @@ from .router import RequestRouter
 from .serving import ReplicaServer
 from .slo import SloPolicy, SloTracker
 
-# Trace-counter prefixes surfaced in TrafficRunResult.counters: the
-# cluster/fault ledger plus the traffic plane's own counters (sheds,
-# reroutes, scale actions).
-TRAFFIC_COUNTER_PREFIXES = ('cluster.', 'faults.', 'traffic.')
+# Counter prefixes surfaced in TrafficRunResult.counters: the
+# cluster/fault ledger, the traffic plane's own counters (sheds,
+# reroutes, scale actions) and the span ring's drop count.
+TRAFFIC_COUNTER_PREFIXES = ('cluster.', 'faults.', 'traffic.',
+                            'spans.dropped')
 
 
 class TrafficService:
@@ -186,7 +187,7 @@ class TrafficRunResult:
                  unroutable, replicas, autoscaler=None, migrations=0,
                  rejections=0, rejections_dropped=0, faults=None,
                  counters=None, host_crashes=0, events=None,
-                 event_counts=None, span_drops=0, trace_drops=0):
+                 event_counts=None):
         self.strategy = strategy
         self.placement = placement
         self.seed = seed
@@ -212,8 +213,6 @@ class TrafficRunResult:
         self.host_crashes = host_crashes
         self.events = list(events or [])
         self.event_counts = dict(event_counts or {})
-        self.span_drops = span_drops
-        self.trace_drops = trace_drops
 
     def summary(self):
         """JSON-simple dict (what the pipeline caches)."""
@@ -243,8 +242,6 @@ class TrafficRunResult:
             'host_crashes': self.host_crashes,
             'events': self.events,
             'event_counts': self.event_counts,
-            'span_drops': self.span_drops,
-            'trace_drops': self.trace_drops,
         }
 
 
@@ -400,9 +397,8 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
         shed = unroutable = 0
         n_replicas = len(closed_workloads)
 
-    counters = {name: count
-                for name, count in sorted(sim.trace.counters.items())
-                if name.startswith(TRAFFIC_COUNTER_PREFIXES)}
+    counters = sim.trace.metrics.counter_values(
+        prefixes=TRAFFIC_COUNTER_PREFIXES)
     if observe is not None:
         if observe.trace_out:
             write_chrome_trace(observe.trace_out,
@@ -437,6 +433,4 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
         host_crashes=sum(host.crashes for host in cluster.hosts),
         events=cluster.events.to_dicts(),
         event_counts=cluster.events.counts(),
-        span_drops=sim.trace.spans.dropped,
-        trace_drops=sim.trace.counters.get('trace.dropped', 0),
     )

@@ -150,13 +150,13 @@ class SloTracker:
         summary = self.summary(now)
         if self.registry is not None:
             scope = self.registry.scoped('traffic.slo.')
-            scope.gauge('good').set(self.good)
-            scope.gauge('slow').set(self.slow)
-            scope.gauge('shed').set(self.sheds)
-            scope.gauge('attainment_ppm').set(
-                int(summary['attainment'] * 1_000_000))
-            scope.gauge('burn_ppm').set(
-                int(min(summary['burn_rate'], 1000.0) * 1_000_000))
+            scope.set_gauge('good', self.good)
+            scope.set_gauge('slow', self.slow)
+            scope.set_gauge('shed', self.sheds)
+            scope.set_gauge('attainment_ppm',
+                            int(summary['attainment'] * 1_000_000))
+            scope.set_gauge('burn_ppm',
+                            int(min(summary['burn_rate'], 1000.0) * 1_000_000))
         return summary
 
     def summary(self, now):

@@ -3,6 +3,7 @@ always-on health event log and its byte-deterministic JSONL export, the
 cluster-health residency reconstruction, flow-stitched Perfetto traces,
 and the exposition snapshot of a cluster run."""
 
+import functools
 import json
 
 from repro.cluster import Cluster, HostSpec, VmRequest, run_consolidation
@@ -22,7 +23,9 @@ from repro.obs.exporters import (
     load_chrome_trace,
     validate_chrome_trace,
 )
-from repro.simkernel import Simulator
+from repro.obs.report import drop_warnings
+from repro.obs.spans import SpanRecorder
+from repro.simkernel import Simulator, tracing
 from repro.simkernel.units import MS
 
 CHAOS_KWARGS = dict(strategy='irs', placement='first_fit', seed=0,
@@ -44,19 +47,19 @@ class TestScopedHostMetrics:
         cluster = Cluster(sim, [HostSpec('h0', n_pcpus=2),
                                 HostSpec('h1', n_pcpus=2)])
         h0, h1 = cluster.hosts
-        h0.metrics.counter('placements').inc(3)
+        h0.metrics.count('placements', 3)
         registry = sim.trace.metrics
-        assert registry.get('host.h0.placements').value == 3
+        assert registry.counters['host.h0.placements'] == 3
         # The other host's scope is untouched — not even created.
-        assert registry.get('host.h1.placements') is None
-        h1.metrics.counter('placements').inc()
-        assert registry.get('host.h0.placements').value == 3
-        assert registry.get('host.h1.placements').value == 1
+        assert 'host.h1.placements' not in registry
+        h1.metrics.count('placements')
+        assert registry.counters['host.h0.placements'] == 3
+        assert registry.counters['host.h1.placements'] == 1
 
     def test_scope_labels_carry_the_host_name(self):
         sim = Simulator(seed=0)
         cluster = Cluster(sim, [HostSpec('h0', n_pcpus=2)])
-        cluster.hosts[0].metrics.counter('placements').inc()
+        cluster.hosts[0].metrics.count('placements')
         family, labels = sim.trace.metrics.metric_meta(
             'host.h0.placements')
         assert family == 'placements'
@@ -72,9 +75,8 @@ class TestScopedHostMetrics:
                    VmRequest('vm%d' % i, n_vcpus=2, workload='hogs'))
         sim.run_until(200 * MS)
         registry = sim.trace.metrics
-        total = sum(registry.get('host.%s.placements' % host.name).value
-                    for host in cluster.hosts
-                    if registry.get('host.%s.placements' % host.name))
+        total = sum(registry.counters['host.%s.placements' % host.name]
+                    for host in cluster.hosts)
         assert total == 3
 
     def test_monitor_windows_per_host(self):
@@ -129,10 +131,21 @@ class TestHealthEventLog:
         assert (json.dumps(one, sort_keys=True)
                 == json.dumps(two, sort_keys=True))
 
-    def test_drop_counters_surface_in_summary(self):
-        summary = _chaos_run().summary()
-        assert 'span_drops' in summary
-        assert 'trace_drops' in summary
+    def test_drop_counters_surface_in_summary(self, monkeypatch):
+        observe = ObservabilityConfig(spans=True, timeline=False)
+        quiet = _chaos_run(observe=observe).summary()
+        assert 'spans.dropped' not in quiet['counters']
+        assert drop_warnings(quiet['counters']) == []
+        # Shrink every span ring so the same run saturates it.
+        monkeypatch.setattr(tracing, 'SpanRecorder',
+                            functools.partial(SpanRecorder, max_spans=4))
+        saturated = _chaos_run(observe=observe).summary()
+        dropped = saturated['counters']['spans.dropped']
+        assert dropped > 0
+        assert len(drop_warnings(saturated['counters'])) == 1
+        # Dropping spans loses no other counter.
+        del saturated['counters']['spans.dropped']
+        assert saturated['counters'] == quiet['counters']
 
 
 class TestResidencyReconstruction:

@@ -173,8 +173,8 @@ class TestResidency:
 class TestExposition:
     def test_scoped_counters_fold_into_labelled_family(self):
         registry = MetricsRegistry()
-        registry.scoped('host.h0.', host='h0').counter('placements').inc(3)
-        registry.scoped('host.h1.', host='h1').counter('placements').inc(5)
+        registry.scoped('host.h0.', host='h0').count('placements', 3)
+        registry.scoped('host.h1.', host='h1').count('placements', 5)
         text = render_exposition(registry)
         assert '# TYPE repro_placements_total counter' in text
         assert 'repro_placements_total{host="h0"} 3' in text
@@ -182,7 +182,7 @@ class TestExposition:
 
     def test_gauges_and_histograms(self):
         registry = MetricsRegistry()
-        registry.gauge('pressure').set(0.25)
+        registry.set_gauge('pressure', 0.25)
         registry.histogram('lat_ns').record(1000)
         registry.histogram('lat_ns').record(2000)
         text = render_exposition(registry)
@@ -195,31 +195,31 @@ class TestExposition:
     def test_output_is_deterministic(self):
         def build():
             registry = MetricsRegistry()
-            registry.scoped('host.b.', host='b').counter('x').inc()
-            registry.scoped('host.a.', host='a').counter('x').inc()
-            registry.gauge('g').set(1)
+            registry.scoped('host.b.', host='b').count('x')
+            registry.scoped('host.a.', host='a').count('x')
+            registry.set_gauge('g', 1)
             return render_exposition(registry)
         assert build() == build()
 
     def test_mixed_kind_family_raises(self):
         registry = MetricsRegistry()
-        registry.scoped('host.h0.', host='h0').counter('m').inc()
-        registry.scoped('host.h1.', host='h1').gauge('m').set(1)
+        registry.scoped('host.h0.', host='h0').count('m')
+        registry.scoped('host.h1.', host='h1').set_gauge('m', 1)
         with pytest.raises(TypeError):
             render_exposition(registry)
 
     def test_write_exposition_counts_samples(self, tmp_path):
         registry = MetricsRegistry()
-        registry.counter('a').inc()
-        registry.gauge('b').set(2)
+        registry.count('a')
+        registry.set_gauge('b', 2)
         path = tmp_path / 'metrics.prom'
         assert write_exposition(str(path), registry) == 2
         assert path.read_text().endswith('\n')
 
     def test_prefix_filter(self):
         registry = MetricsRegistry()
-        registry.counter('keep.a').inc()
-        registry.counter('drop.b').inc()
+        registry.count('keep.a')
+        registry.count('drop.b')
         text = render_exposition(registry, prefixes=('keep.',))
         assert 'keep_a' in text
         assert 'drop_b' not in text

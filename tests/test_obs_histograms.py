@@ -2,9 +2,9 @@
 
 import pytest
 
+import pickle
+
 from repro.obs.histograms import (
-    CounterMetric,
-    GaugeMetric,
     LogHistogram,
     MetricsRegistry,
     SUB_BUCKETS,
@@ -101,55 +101,92 @@ class TestLogHistogram:
 
 class TestMetrics:
     def test_counter_monotonic(self):
-        c = CounterMetric('c')
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+        r = MetricsRegistry()
+        r.count('c')
+        r.count('c', 4)
+        assert r.counters['c'] == 5
         with pytest.raises(ValueError):
-            c.inc(-1)
+            r.count('c', -1)
+        with pytest.raises(ValueError):
+            r.scoped('host.h0.').count('c', -1)
+        assert r.counters['c'] == 5
+        assert 'host.h0.c' not in r
 
     def test_gauge_last_write_wins(self):
-        g = GaugeMetric('g')
-        g.set(3)
-        g.set(1)
-        assert g.value == 1
+        r = MetricsRegistry()
+        r.set_gauge('g', 3)
+        r.set_gauge('g', 1)
+        assert r.gauges == {'g': 1}
 
 
 class TestMetricsRegistry:
     def test_get_or_create(self):
         r = MetricsRegistry()
-        assert r.counter('a') is r.counter('a')
-        assert len(r) == 1
+        assert r.histogram('a') is r.histogram('a')
+        r.count('b', 0)
+        assert len(r) == 2
+        assert r.counters['never'] == 0        # reads create nothing
+        assert len(r) == 2
 
     def test_kind_is_sticky(self):
         r = MetricsRegistry()
-        r.counter('a')
+        r.count('a')
         with pytest.raises(TypeError):
             r.histogram('a')
+        with pytest.raises(TypeError):
+            r.set_gauge('a', 1)
+        r.set_gauge('g', 1)
+        with pytest.raises(TypeError):
+            r.count('g')
+        with pytest.raises(TypeError):
+            r.scoped('').count('g')
+        r.histogram('h')
+        with pytest.raises(TypeError):
+            r.count('h')
+        with pytest.raises(TypeError):
+            r.scoped('').set_gauge('h', 2)
+        assert r.counters == {'a': 1}
+        assert r.gauges == {'g': 1}
 
     def test_prefix_views(self):
         r = MetricsRegistry()
-        r.counter('irs.sa_sent').inc(3)
-        r.counter('hv.wakes').inc(1)
+        r.count('irs.sa_sent', 3)
+        r.count('hv.wakes', 1)
         r.histogram('sa.offer').record(23 * US)
         assert r.counter_values(prefixes=('irs.',)) == {'irs.sa_sent': 3}
         assert list(r.histogram_summaries()) == ['sa.offer']
-        assert r.names(kind='counter') == ['hv.wakes', 'irs.sa_sent']
+        assert list(r.counter_values()) == ['hv.wakes', 'irs.sa_sent']
 
     def test_snapshot_is_frozen(self):
         r = MetricsRegistry()
-        r.counter('c').inc(1)
+        r.count('c')
+        r.set_gauge('g', 1)
         r.histogram('h').record(10)
+        r.scoped('host.h0.', host='h0').count('x')
         snap = r.snapshot()
-        r.counter('c').inc(10)
+        r.count('c', 10)
+        r.set_gauge('g', 2)
         r.histogram('h').record(20)
-        assert snap.get('c').value == 1
-        assert snap.get('h').count == 1
+        assert snap.counters['c'] == 1
+        assert snap.gauges['g'] == 1
+        assert snap.histograms['h'].count == 1
+        assert snap.metric_meta('host.h0.x') == ('x', {'host': 'h0'})
 
-    def test_contains_iter_clear(self):
+    def test_snapshot_pickles_with_its_kind_checks(self):
         r = MetricsRegistry()
-        r.gauge('g').set(1)
-        assert 'g' in r
-        assert list(r) == ['g']
-        r.clear()
-        assert len(r) == 0
+        r.count('c', 2)
+        r.set_gauge('g', 1)
+        clone = pickle.loads(pickle.dumps(r.snapshot()))
+        assert clone.counters == {'c': 2}
+        assert clone.counters['missing'] == 0
+        with pytest.raises(TypeError):
+            clone.count('g')
+
+    def test_contains_every_kind(self):
+        r = MetricsRegistry()
+        r.set_gauge('g', 1)
+        r.count('c')
+        r.histogram('h')
+        assert 'g' in r and 'c' in r and 'h' in r
+        assert 'x' not in r
+        assert len(r) == 3

@@ -137,6 +137,6 @@ class TestHistogramFeed:
         assert len(spans) == 1
         assert spans[0].detail == {'truncated': True}
         # A run-boundary truncation is not a protocol latency sample.
-        metric = reg.get('sa.offer')
+        metric = reg.histograms.get('sa.offer')
         assert metric is None or metric.count == 0
         assert r.open_spans() == []

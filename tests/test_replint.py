@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
@@ -242,19 +244,53 @@ class TestTaxonomyDriftPass:
         assert self._lint(tmp_path, (
             'def tick(sim, scope):\n'
             "    sim.trace.count('hv.wakes')\n"
-            "    scope.counter('placements').inc()\n")) == []
+            "    scope.count('placements')\n")) == []
 
     def test_undeclared_registry_metric_flagged(self, tmp_path):
         active = self._lint(tmp_path, (
             'def snap(registry):\n'
-            "    registry.gauge('mystery_depth').set(3)\n"))
+            "    registry.set_gauge('mystery_depth', 3)\n"))
         assert [f.key for f in active] == ['metric:mystery_depth']
 
     def test_dynamic_names_skipped(self, tmp_path):
         assert self._lint(tmp_path, (
             'def snap(registry, name):\n'
-            '    registry.counter(name).inc()\n'
-            "    registry.counter('host.%s.x' % name)\n")) == []
+            '    registry.count(name)\n'
+            "    registry.count('host.%s.x' % name)\n")) == []
+
+    # One positive (undeclared name flagged) and one negative (declared
+    # name clean) fixture per metric write form.
+    WRITE_FORMS = (
+        ('tracer', "def f(self):\n    self.sim.trace.count(%r)\n"),
+        ('registry', "def f(registry):\n    registry.count(%r, 2)\n"),
+        ('scoped_view', "def f(self):\n    self.metrics.count(%r)\n"),
+        ('pipeline_METRICS', "from .cache import METRICS\n"
+                             "def f():\n    METRICS.count(%r)\n"),
+        ('gauge_setter', "def f(scope):\n    scope.set_gauge(%r, 0.5)\n"),
+        ('histogram', "def f(registry):\n"
+                      "    registry.histogram(%r).record(1)\n"),
+    )
+
+    @pytest.mark.parametrize('form', [f for __, f in WRITE_FORMS],
+                             ids=[name for name, __ in WRITE_FORMS])
+    def test_every_write_form_flags_undeclared_names(self, tmp_path, form):
+        active = self._lint(tmp_path, form % 'hv.wormholes')
+        assert [f.key for f in active] == ['metric:hv.wormholes']
+
+    @pytest.mark.parametrize('form', [f for __, f in WRITE_FORMS],
+                             ids=[name for name, __ in WRITE_FORMS])
+    def test_every_write_form_accepts_declared_names(self, tmp_path, form):
+        assert self._lint(tmp_path, form % 'hv.wakes') == []
+        assert self._lint(tmp_path, form % 'placements') == []
+
+    def test_non_metric_counts_skipped(self, tmp_path):
+        assert self._lint(tmp_path, (
+            'import itertools\n'
+            'def f(line, rows):\n'
+            '    ids = itertools.count(1)\n'
+            "    n = 'hv.wormholes'.count('.')\n"
+            "    m = line.count('hv.wormholes')\n"
+            "    return rows.count('hv.wormholes') + n + m, ids\n")) == []
 
     def test_local_constant_resolved(self, tmp_path):
         active = self._lint(tmp_path, (

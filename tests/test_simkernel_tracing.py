@@ -1,5 +1,8 @@
-"""Unit tests for tracing and counters."""
+"""Unit tests for the tracer's counter store and span hooks."""
 
+import pytest
+
+from repro.simkernel import Simulator
 from repro.simkernel.tracing import Tracer
 from repro.simkernel.units import (
     MS,
@@ -20,98 +23,36 @@ class TestCounters:
         assert t.counters['a'] == 3
 
     def test_counters_work_when_tracing_disabled(self):
-        t = Tracer(enabled=False)
+        # Span recording is off by default; counters are always on.
+        t = Tracer()
+        assert not t.spans.enabled
         t.count('x')
         assert t.counters['x'] == 1
-
-    def test_add_time(self):
-        t = Tracer()
-        t.add_time('busy', 500)
-        t.add_time('busy', 250)
-        assert t.counters['busy'] == 750
 
     def test_missing_counter_is_zero(self):
         t = Tracer()
         assert t.counters['nothing'] == 0
 
+    def test_counters_are_the_registry_store(self):
+        t = Tracer()
+        assert t.counters is t.metrics.counters
+        t.count('hv.wakes', 2)
+        t.metrics.scoped('host.h0.').count('placements')
+        assert t.metrics.counter_values() == {'host.h0.placements': 1,
+                                              'hv.wakes': 2}
+        assert t.counters['host.h0.placements'] == 1
 
-class TestRecords:
-    def test_emit_disabled_records_nothing(self):
-        t = Tracer(enabled=False)
-        t.emit(1, 'cat', x=1)
-        assert t.records == []
-
-    def test_emit_enabled_records(self):
-        t = Tracer(enabled=True)
-        t.emit(5, 'sched', vcpu='v0')
-        assert len(t.records) == 1
-        assert t.records[0].time == 5
-        assert t.records[0].category == 'sched'
-        assert t.records[0].detail == {'vcpu': 'v0'}
-
-    def test_category_filter(self):
-        t = Tracer(enabled=True, categories=['keep'])
-        t.emit(1, 'keep')
-        t.emit(2, 'drop')
-        assert len(t.records) == 1
-
-    def test_records_for(self):
-        t = Tracer(enabled=True)
-        t.emit(1, 'a')
-        t.emit(2, 'b')
-        t.emit(3, 'a')
-        assert [r.time for r in t.records_for('a')] == [1, 3]
-
-    def test_clear(self):
-        t = Tracer(enabled=True)
-        t.emit(1, 'a')
-        t.count('c')
-        t.clear()
-        assert t.records == []
-        assert t.counters['c'] == 0
-
-
-class TestRingBuffer:
-    def test_cap_keeps_newest(self):
-        t = Tracer(enabled=True, max_records=3)
-        for i in range(5):
-            t.emit(i, 'cat')
-        assert [r.time for r in t.records] == [2, 3, 4]
-        assert t.dropped == 2
-        assert t.counters['trace.dropped'] == 2
-
-    def test_below_cap_drops_nothing(self):
-        t = Tracer(enabled=True, max_records=10)
-        t.emit(1, 'cat')
-        assert t.dropped == 0
-        assert len(t.records) == 1
-
-    def test_unbounded_with_none(self):
-        t = Tracer(enabled=True, max_records=None)
-        for i in range(5):
-            t.emit(i, 'cat')
-        assert len(t.records) == 5
-
-    def test_invalid_cap_rejected(self):
-        import pytest
+    def test_count_keeps_the_registry_checks(self):
+        t = Tracer()
         with pytest.raises(ValueError):
-            Tracer(max_records=0)
+            t.count('a', -1)
+        t.metrics.set_gauge('g', 1)
+        with pytest.raises(TypeError):
+            t.count('g')
 
-    def test_clear_resets_ring(self):
-        t = Tracer(enabled=True, max_records=2)
-        for i in range(4):
-            t.emit(i, 'cat')
-        t.clear()
-        assert t.records == []
-        assert t.dropped == 0
-        t.emit(9, 'cat')
-        assert [r.time for r in t.records] == [9]
-
-    def test_records_for_respects_ring_order(self):
-        t = Tracer(enabled=True, max_records=4)
-        for i in range(6):
-            t.emit(i, 'a' if i % 2 == 0 else 'b')
-        assert [r.time for r in t.records_for('a')] == [2, 4]
+    def test_simulator_counters_are_its_registry(self):
+        sim = Simulator(seed=0)
+        assert sim.trace.counters is sim.trace.metrics.counters
 
 
 class TestObservabilityHooks:
@@ -127,14 +68,6 @@ class TestObservabilityHooks:
         span = t.spans.begin(0, 'sa.offer', 'v0')
         t.spans.end(23_000, span)
         assert t.metrics.histogram('sa.offer').count == 1
-
-    def test_clear_resets_spans_and_metrics(self):
-        t = Tracer()
-        t.spans.enabled = True
-        t.spans.instant(1, 'p', 'v0')
-        t.clear()
-        assert t.spans.spans == []
-        assert len(t.metrics) == 0
 
 
 class TestUnits:

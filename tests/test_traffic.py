@@ -110,8 +110,8 @@ class TestSloTracker:
         tracker.observe(0, 1 * MS)
         summary = tracker.snapshot(100 * MS)
         assert summary['requests'] == 1
-        assert registry.gauge('traffic.slo.good').value == 1
-        assert registry.gauge('traffic.slo.attainment_ppm').value == 1_000_000
+        assert registry.gauges['traffic.slo.good'] == 1
+        assert registry.gauges['traffic.slo.attainment_ppm'] == 1_000_000
 
 
 class TestReplicaShedding:

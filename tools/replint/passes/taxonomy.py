@@ -10,8 +10,9 @@ report, exporter, and CI determinism gate:
   the short per-scope family names used through ``ScopedRegistry``).
 
 A string that reaches an emission sink (``spans.begin/instant/
-end_phase``, ``EventLog.append``, ``trace.count``/``add_time``,
-``registry.counter/gauge/histogram``) without being declared is
+end_phase``, ``EventLog.append``, ``count`` on the tracer / a registry
+/ a scoped view / the pipeline's ``METRICS``, ``set_gauge``,
+``histogram``) without being declared is
 *taxonomy drift*: the name silently falls out of every registry-driven
 report — exactly how the fig5 costop metrics and the profiles.py
 cross-contamination went unnoticed. The pass resolves names through
@@ -36,7 +37,12 @@ EVENTLOG_FILE = 'repro/obs/eventlog.py'
 HISTOGRAMS_FILE = 'repro/obs/histograms.py'
 
 SPAN_METHODS = frozenset(('begin', 'instant', 'end_phase'))
-METRIC_METHODS = frozenset(('counter', 'gauge', 'histogram'))
+#: Metric writes and the number of positional arguments they take.
+METRIC_WRITES = {'histogram': 1, 'set_gauge': 2}
+#: Receivers whose ``.count(name)`` is a counter write (the tracer, a
+#: registry, a host's scoped view, the pipeline's ``METRICS``) — unlike
+#: ``str.count`` or ``itertools.count``.
+COUNT_RECEIVERS = frozenset(('trace', 'registry', 'metrics', 'METRICS'))
 
 
 def _registry_constants(project, rel, prefix):
@@ -59,6 +65,12 @@ def _declared_metrics(project):
     full = set(consts.get('DECLARED_METRICS') or ())
     families = set(consts.get('DECLARED_METRIC_FAMILIES') or ())
     return full, families
+
+
+def _receiver(chain):
+    """Last name before the method in a dotted callee: ``'trace'`` for
+    ``'self.sim.trace.count'``, ``''`` for a literal's method."""
+    return chain.rpartition('.')[0].rpartition('.')[2]
 
 
 class _Resolver:
@@ -129,7 +141,9 @@ def run(project):
                         'event kind %r is not declared in '
                         'obs/eventlog.py; add an EVENT_* constant'
                         % value)
-            elif method in METRIC_METHODS and len(node.args) == 1:
+            elif (len(node.args) == METRIC_WRITES.get(method)
+                  or (method == 'count' and node.args
+                      and _receiver(chain) in COUNT_RECEIVERS)):
                 value = resolver.resolve(node.args[0])
                 if value is not None and value not in metric_ok:
                     yield Finding(
@@ -138,12 +152,3 @@ def run(project):
                         'metric name %r is not declared in '
                         'obs/histograms.py (DECLARED_METRICS / '
                         'DECLARED_METRIC_FAMILIES)' % value)
-            elif method in ('count', 'add_time') and node.args \
-                    and 'trace.' in chain:
-                value = resolver.resolve(node.args[0])
-                if value is not None and value not in metric_ok:
-                    yield Finding(
-                        PASS, source.rel, node.lineno,
-                        'metric:%s' % value,
-                        'counter name %r is not declared in '
-                        'obs/histograms.py DECLARED_METRICS' % value)
