@@ -174,7 +174,7 @@ class GuestKernel:
         if gcpu.current is not None:
             gcpu.run_started_at = self.sim.now
             self.ticks.arm_tick(gcpu)
-            self._run_current(gcpu)
+            self.interp.run(gcpu)
         else:
             self._schedule(gcpu)
 
@@ -182,8 +182,12 @@ class GuestKernel:
         """Our vCPU lost its pCPU: checkpoint and freeze."""
         gcpu = vcpu.gcpu
         self._checkpoint(gcpu)
-        self.ticks.cancel_quantum(gcpu)
-        self.ticks.cancel_tick(gcpu)
+        # TickDriver.cancel_quantum and cancel_tick, inlined (the hot
+        # half of every vCPU switch).
+        if gcpu.quantum_event is not None:
+            gcpu.quantum_event.cancel()
+        if gcpu.tick_event is not None:
+            gcpu.tick_event.cancel()
         gcpu.run_started_at = None
 
     def deliver_virq(self, vcpu, virq):
@@ -219,7 +223,7 @@ class GuestKernel:
         gcpu.current = next_task
         gcpu.run_started_at = self.sim.now
         self.ticks.arm_tick(gcpu)
-        self._run_current(gcpu)
+        self.interp.run(gcpu)
 
     def _go_idle(self, gcpu):
         """Nothing to run: block the vCPU at the hypervisor."""
@@ -228,11 +232,6 @@ class GuestKernel:
         if self.pull_migrator is not None:
             self.pull_migrator.on_idle(gcpu)
         self.hypercalls.sched_op(gcpu.vcpu, SCHEDOP_BLOCK)
-
-    def _run_current(self, gcpu):
-        """Drive the current task until it computes, spins, blocks,
-        exits, or loses the CPU (the interpreter's run loop)."""
-        self.interp.run(gcpu)
 
     def _exit_current(self, gcpu):
         task = gcpu.current
@@ -280,12 +279,19 @@ class GuestKernel:
         delta = now - gcpu.run_started_at
         if delta > 0:
             task.charge(delta)
-            if isinstance(task.action, act.Compute) and not task.spinning:
+            if not task.spinning and isinstance(task.action, act.Compute):
                 remaining = task.remaining_ns - delta
                 task.remaining_ns = remaining if remaining > 0 else 0
             gcpu.busy_ns += delta
         gcpu.run_started_at = now
-        gcpu.rq.update_min_vruntime(task)
+        # RunQueue.update_min_vruntime(task), inlined.
+        rq = gcpu.rq
+        floor = task.vruntime
+        entries = rq._entries
+        if entries and entries[0][0] < floor:
+            floor = entries[0][0]
+        if floor > rq.min_vruntime:
+            rq.min_vruntime = floor
 
     # CPU hotplug (delegates to the CpuHotplug engine).
 

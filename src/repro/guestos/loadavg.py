@@ -26,6 +26,10 @@ class RtAvgTracker:
         run, steal, __ = vcpu.snapshot_accounting(sim.now)
         self._last_run = run
         self._last_steal = steal
+        # exp(-elapsed / tau) for the last elapsed seen: ticks repeat
+        # the same interval, and equal inputs give equal bits.
+        self._decay_elapsed = None
+        self._decay = 1.0
 
     def update(self):
         """Fold in everything since the last update; return the avg."""
@@ -36,7 +40,10 @@ class RtAvgTracker:
         run, steal, __ = self.vcpu.snapshot_accounting(now)
         busy = (run - self._last_run) + (steal - self._last_steal)
         fraction = busy / elapsed
-        decay = exp(-elapsed / self.tau_ns)
+        if elapsed != self._decay_elapsed:
+            self._decay_elapsed = elapsed
+            self._decay = exp(-elapsed / self.tau_ns)
+        decay = self._decay
         self.value = decay * self.value + (1.0 - decay) * fraction
         self._last_time = now
         self._last_run = run

@@ -137,7 +137,7 @@ class SyncEngine:
         gcpu = grantee.gcpu
         if gcpu.current is grantee and gcpu.run_started_at is not None:
             self.kernel.machine.notify_spin_stop(gcpu.vcpu)
-            self.kernel._run_current(gcpu)
+            self.kernel.interp.run(gcpu)
         # Otherwise the grantee's vCPU is preempted: it now *holds* the
         # lock while frozen — lock-waiter turned lock-holder preemption.
 

@@ -59,18 +59,19 @@ class TickDriver:
     # ------------------------------------------------------------------
 
     def arm_quantum(self, gcpu):
-        self.cancel_quantum(gcpu)
-        task = gcpu.current
-        gcpu.quantum_event = self.sim.after(
-            task.remaining_ns, self._on_quantum, gcpu)
+        # Re-arms the handle _on_quantum fired; a pending one is
+        # cancelled first, and rearm() replaces a cancelled handle.
+        event = gcpu.quantum_event
+        if event is not None:
+            event.cancel()
+        gcpu.quantum_event = self.sim.rearm(
+            event, gcpu.current.remaining_ns, self._on_quantum, gcpu)
 
     def cancel_quantum(self, gcpu):
         if gcpu.quantum_event is not None:
             gcpu.quantum_event.cancel()
-            gcpu.quantum_event = None
 
     def _on_quantum(self, gcpu):
-        gcpu.quantum_event = None
         if gcpu.run_started_at is None or not gcpu.vcpu.is_running:
             return
         kernel = self.kernel
@@ -79,33 +80,34 @@ class TickDriver:
         if task is not None and isinstance(task.action, act.Compute) \
                 and task.remaining_ns <= 0:
             task.action = None
-        kernel._run_current(gcpu)
+        kernel.interp.run(gcpu)
 
     # ------------------------------------------------------------------
     # Scheduler tick
     # ------------------------------------------------------------------
 
     def arm_tick(self, gcpu):
-        if gcpu.tick_event is None or not gcpu.tick_event.pending:
-            gcpu.tick_event = self.sim.after(
-                self.kernel.policy.config.tick_ns, self._on_tick, gcpu)
+        event = gcpu.tick_event
+        if event is None or event.fired or event.cancelled:
+            gcpu.tick_event = self.sim.rearm(
+                event, self.kernel.policy.config.tick_ns, self._on_tick,
+                gcpu)
 
     def cancel_tick(self, gcpu):
         if gcpu.tick_event is not None:
             gcpu.tick_event.cancel()
-            gcpu.tick_event = None
 
     def _on_tick(self, gcpu):
         """Guest timer tick: accounting, balancing, CFS preemption."""
-        gcpu.tick_event = None
         if not gcpu.vcpu.is_running or gcpu.in_sa_handler:
             return
         kernel = self.kernel
         policy = kernel.policy
         config = policy.config
         gcpu.tick_count += 1
-        # arm_tick() inlined: tick_event is known to be None here.
-        gcpu.tick_event = self.sim.after(config.tick_ns, self._on_tick, gcpu)
+        # arm_tick() inlined: tick_event is the handle firing now.
+        gcpu.tick_event = self.sim.rearm(
+            gcpu.tick_event, config.tick_ns, self._on_tick, gcpu)
         gcpu.rt.update()
         task = gcpu.current
         if task is None:

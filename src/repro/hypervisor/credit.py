@@ -55,6 +55,7 @@ class CreditScheduler:
         self.config = config or CreditConfig()
         self.vcpus = []
         self._started = False
+        self._tick_events = {}       # pcpu -> its periodic tick Event
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -67,7 +68,8 @@ class CreditScheduler:
         self._started = True
         cfg = self.config
         for pcpu in self.machine.pcpus:
-            self.sim.after(cfg.tick_ns, self._tick, pcpu)
+            self._tick_events[pcpu] = self.sim.after(
+                cfg.tick_ns, self._tick, pcpu)
         self.sim.after(cfg.accounting_ns, self._accounting)
 
     def register_vcpu(self, vcpu, pcpu):
@@ -138,7 +140,13 @@ class CreditScheduler:
         """Hypervisor-initiated directed yield (PLE / relaxed-co). Does
         NOT go through the SA path: these are strategy actions, not
         credit-scheduler preemptions."""
-        self._deschedule_running(vcpu, RUNSTATE_RUNNABLE)
+        # _deschedule_running(vcpu, RUNSTATE_RUNNABLE), inlined: this is
+        # the PLE exit's hot path.
+        if not vcpu.is_running:
+            return
+        pcpu = vcpu.pcpu
+        self._stop_current(pcpu, RUNSTATE_RUNNABLE)
+        self._schedule(pcpu)
 
     def _deschedule_running(self, vcpu, new_state):
         if not vcpu.is_running:
@@ -154,7 +162,8 @@ class CreditScheduler:
     def _tick(self, pcpu):
         """10 ms tick: debit credits, drop BOOST, check the slice."""
         cfg = self.config
-        self.sim.after(cfg.tick_ns, self._tick, pcpu)
+        self._tick_events[pcpu] = self.sim.rearm(
+            self._tick_events[pcpu], cfg.tick_ns, self._tick, pcpu)
         current = pcpu.current
         if current is not None:
             # Xen clips credits at -cap: a vCPU can overdraw at most
@@ -300,7 +309,10 @@ class CreditScheduler:
             pcpu.insert_vcpu(vcpu)
             vcpu.preemptions += 1
             self.sim.trace.count('hv.preemptions')
-        self.machine.on_vcpu_descheduled(vcpu, pcpu)
+        # A descheduled vCPU stops any armed PLE window.
+        ple = self.machine.ple
+        if ple is not None:
+            ple.on_spin_stop(vcpu)
 
     def _schedule(self, pcpu):
         """Dispatch the best runnable vCPU on ``pcpu`` (stealing from
@@ -320,7 +332,12 @@ class CreditScheduler:
         candidate.slice_start = now
         pcpu.current = candidate
         pcpu.mark_busy(now)
-        self.machine.on_vcpu_dispatched(candidate, pcpu)
+        # Delay-preemption bookkeeping, then the pended interrupts.
+        machine = self.machine
+        if machine.delay_preempt is not None:
+            machine.delay_preempt.on_dispatch(candidate)
+        if candidate.pending_virqs:
+            machine.channels.drain_pending(candidate)
         if candidate.vm.guest is not None:
             candidate.vm.guest.vcpu_started_running(candidate)
 

@@ -211,22 +211,6 @@ class Machine:
         self.scheduler.start()
 
     # ------------------------------------------------------------------
-    # Hooks from the scheduler
-    # ------------------------------------------------------------------
-
-    def on_vcpu_dispatched(self, vcpu, pcpu):
-        """A vCPU just got a pCPU: deliver pended interrupts."""
-        if self.delay_preempt is not None:
-            self.delay_preempt.on_dispatch(vcpu)
-        if vcpu.pending_virqs:
-            self.channels.drain_pending(vcpu)
-
-    def on_vcpu_descheduled(self, vcpu, pcpu):
-        """A vCPU just lost its pCPU: stop any armed PLE window."""
-        if self.ple is not None:
-            self.ple.on_spin_stop(vcpu)
-
-    # ------------------------------------------------------------------
     # Guest-visible services
     # ------------------------------------------------------------------
 

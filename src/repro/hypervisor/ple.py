@@ -24,23 +24,25 @@ class PleMonitor:
         self.sim = sim
         self.machine = machine
         self.window_ns = window_ns
-        self._armed = {}           # vcpu -> Event
+        # vcpu -> its window's Event: armed while pending, otherwise
+        # the fired (re-armable) or cancelled handle of the last window.
+        self._windows = {}
 
     def on_spin_start(self, vcpu):
         """The running task on ``vcpu`` entered a pause loop."""
-        if vcpu in self._armed:
+        event = self._windows.get(vcpu)
+        if event is not None and not (event.fired or event.cancelled):
             return
-        self._armed[vcpu] = self.sim.after(
-            self.window_ns, self._window_expired, vcpu)
+        self._windows[vcpu] = self.sim.rearm(
+            event, self.window_ns, self._window_expired, vcpu)
 
     def on_spin_stop(self, vcpu):
         """The pause loop ended (lock acquired, or vCPU descheduled)."""
-        event = self._armed.pop(vcpu, None)
+        event = self._windows.get(vcpu)
         if event is not None:
             event.cancel()
 
     def _window_expired(self, vcpu):
-        self._armed.pop(vcpu, None)
         if not vcpu.is_running:
             return
         # VM-exit: the credit scheduler performs a directed yield. No

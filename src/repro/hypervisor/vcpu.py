@@ -41,6 +41,10 @@ class VCpu:
         # Runstate machine.
         self.runstate = RUNSTATE_OFFLINE
         self.runstate_since = 0
+        # ``runstate == RUNSTATE_RUNNING``, kept as a plain attribute
+        # because the hot paths read it on every switch and tick. Only
+        # set_runstate writes it.
+        self.is_running = False
 
         # Cumulative runstate accounting (ns).
         self.run_ns = 0
@@ -91,6 +95,7 @@ class VCpu:
         elif old == RUNSTATE_BLOCKED:
             self.blocked_ns += elapsed
         self.runstate = new_state
+        self.is_running = new_state == RUNSTATE_RUNNING
         self.runstate_since = now
 
     def snapshot_accounting(self, now):
@@ -109,10 +114,6 @@ class VCpu:
     # ------------------------------------------------------------------
     # Convenience predicates
     # ------------------------------------------------------------------
-
-    @property
-    def is_running(self):
-        return self.runstate == RUNSTATE_RUNNING
 
     @property
     def is_runnable(self):

@@ -15,7 +15,9 @@ class Event:
     """A scheduled callback. Returned by :meth:`EventQueue.schedule`.
 
     Instances are handles: hold one to :meth:`cancel` the event before it
-    fires. An event fires at most once.
+    fires. An event fires at most once per scheduling;
+    :meth:`Simulator.rearm <repro.simkernel.simulation.Simulator.rearm>`
+    may schedule a fired handle again.
     """
 
     __slots__ = ('time', 'seq', 'callback', 'args', 'cancelled', 'fired',
@@ -55,10 +57,10 @@ class EventQueue:
     """Priority queue of :class:`Event` objects ordered by (time, seq).
 
     :meth:`Simulator.after <repro.simkernel.simulation.Simulator.after>`
-    pushes onto ``_heap`` directly and ``Simulator.run_until`` drops
-    cancelled heads from it inline, so both depend on the
-    ``(time, seq, event)`` entry layout and on ``_seq``/``_live``; a
-    change to either updates them too.
+    and ``Simulator.rearm`` push onto ``_heap`` directly and
+    ``Simulator.run_until`` drops cancelled heads from it inline, so they
+    depend on the ``(time, seq, event)`` entry layout and on
+    ``_seq``/``_live``; a change to either updates them too.
     """
 
     def __init__(self):

@@ -56,7 +56,7 @@ Usage::
 test can assert on the whole report.
 """
 
-from .simulation import SimulationError
+from .simulation import SimulationError, _callback_name
 
 _TASK_STATES = ('running', 'ready', 'sleeping', 'migrating', 'exited')
 # SA protocol states with an open activation round (mirrors
@@ -66,15 +66,27 @@ _SA_ACTIVE_STATES = ('notified', 'switching', 'limbo')
 
 
 class Violation:
-    """One invariant violation, tied to the event that exposed it."""
+    """One invariant violation, tied to the event that exposed it.
+
+    ``event`` names the breaking event by its callback and firing time.
+    It does not use ``repr(event)``: the checks run after the callback,
+    and a timer that re-armed its own handle shows its *next* deadline
+    there."""
 
     __slots__ = ('time', 'invariant', 'message', 'event')
 
-    def __init__(self, time, invariant, message, event):
+    def __init__(self, time, invariant, message, event, fired_at=None):
         self.time = time
         self.invariant = invariant
         self.message = message
-        self.event = repr(event) if event is not None else '<initial state>'
+        if event is None:
+            self.event = '<initial state>'
+        elif fired_at is None:
+            self.event = '%s (firing time unknown)' % _callback_name(
+                event.callback)
+        else:
+            self.event = '%s fired at t=%d' % (_callback_name(event.callback),
+                                               fired_at)
 
     def __repr__(self):
         return '<Violation t=%d %s: %s after %s>' % (
@@ -115,6 +127,8 @@ class Sanitizer:
         self._sa_illegal_seen = {}
         self._countdown = interval
         self._last_now = sim.now
+        # Firing time of the event the running check is attributed to.
+        self._fired_at = None
         self._hook = sim.add_post_event_hook(self._on_event)
 
     # ------------------------------------------------------------------
@@ -151,12 +165,20 @@ class Sanitizer:
         if self._countdown > 0:
             return
         self._countdown = self.interval
-        self.check_now(event)
+        self._check(event, self.sim.now)
 
     def check_now(self, event=None):
-        """Run every invariant immediately (also callable from tests)."""
+        """Run every invariant immediately (also callable from tests).
+        Violations name ``event``, by default the last fired one."""
         if event is None:
             event = self.sim.last_event
+        # A fired handle still holds its firing time; a re-armed one
+        # holds its next deadline instead.
+        fired_at = event.time if event is not None and event.fired else None
+        self._check(event, fired_at)
+
+    def _check(self, event, fired_at):
+        self._fired_at = fired_at
         self.checks += 1
         self._check_clock(event)
         for machine in self.machines:
@@ -184,7 +206,8 @@ class Sanitizer:
             raise SanitizerError(self.violations[0])
 
     def _fail(self, invariant, message, event):
-        violation = Violation(self.sim.now, invariant, message, event)
+        violation = Violation(self.sim.now, invariant, message, event,
+                              self._fired_at)
         self.violations.append(violation)
         self.sim.trace.count('sanitizer.violations')
         if self.mode == 'raise':

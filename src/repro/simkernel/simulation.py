@@ -92,8 +92,8 @@ class Simulator:
         """Schedule ``callback(*args)`` ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
-        # The hottest scheduling call (every tick and quantum re-arm):
-        # push straight onto the heap, as EventQueue.schedule would.
+        # A hot scheduling call (and the model of rearm() below): push
+        # straight onto the heap, as EventQueue.schedule would.
         queue = self._queue
         time = self.now + delay
         seq = queue._seq = queue._seq + 1
@@ -101,6 +101,38 @@ class Simulator:
         heappush(queue._heap, (time, seq, event))
         queue._live += 1
         return event
+
+    def rearm(self, handle, delay, callback, *args):
+        """Schedule ``callback(*args)`` ``delay`` ns from now through
+        ``handle``; return the scheduled handle.
+
+        A fired ``handle`` is reused in place: it takes the new time and
+        the next ``seq`` (the same counter as :meth:`after`), so a
+        periodic timer costs no allocation per period. ``None`` or a
+        cancelled handle gets a fresh :class:`Event`, since a cancelled
+        handle still has a stale heap entry that reuse would revive. A
+        still-pending handle raises :class:`SimulationError`."""
+        if delay < 0:
+            raise SimulationError('negative delay %d' % delay)
+        queue = self._queue
+        time = self.now + delay
+        if handle is None or handle.cancelled:
+            seq = queue._seq = queue._seq + 1
+            handle = Event(time, seq, callback, args, queue)
+        elif handle.fired:
+            seq = queue._seq = queue._seq + 1
+            handle.time = time
+            handle.seq = seq
+            handle.callback = callback
+            handle.args = args
+            handle.fired = False
+            # EventQueue.clear detaches the handles it drops.
+            handle._queue = queue
+        else:
+            raise SimulationError('cannot re-arm pending %r' % (handle,))
+        heappush(queue._heap, (time, seq, handle))
+        queue._live += 1
+        return handle
 
     def call_soon(self, callback, *args):
         """Schedule ``callback(*args)`` at the current time (after any

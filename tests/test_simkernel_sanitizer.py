@@ -103,6 +103,33 @@ class TestCatchesCorruption:
         assert violation.event != '<initial state>'
         assert 'breaking event' in err.value.violation.format()
 
+    def test_violation_in_rearmed_tick_names_its_firing_instant(self):
+        sim, sanitizer, machine, kernel = sanitized_machine()
+        kernel.spawn('a', hog(), gcpu_index=0)
+        kernel.spawn('b', hog(), gcpu_index=1)
+        machine.start()
+        sim.run_until(10 * MS)
+        gcpu = kernel.gcpus[0]
+        fired_at = []
+        update = gcpu.rt.update
+
+        def corrupting_update():
+            # Runs inside TickDriver._on_tick, after it re-armed itself.
+            if not fired_at:
+                fired_at.append(sim.now)
+                self._double_dispatch(kernel)
+            return update()
+        gcpu.rt.update = corrupting_update
+        with pytest.raises(SanitizerError) as err:
+            sim.run_until(sim.now + 10 * MS)
+        violation = err.value.violation
+        assert violation.time == fired_at[0]
+        assert violation.event == (
+            'TickDriver._on_tick fired at t=%d' % fired_at[0])
+        # The handle itself already shows the next period.
+        assert gcpu.tick_event.pending
+        assert gcpu.tick_event.time > fired_at[0]
+
     def test_collect_mode_accumulates_report(self):
         sim, sanitizer, machine, kernel = sanitized_machine(mode='collect')
         kernel.spawn('a', hog(), gcpu_index=0)

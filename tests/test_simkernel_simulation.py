@@ -237,6 +237,120 @@ class TestRunUntilEdges:
         assert sim.run_until(100) == 1
 
 
+
+class TestRearm:
+    """``Simulator.rearm``: a fired handle is rescheduled in place; a
+    cancelled or missing one is replaced; a pending one is refused."""
+
+    def _fired(self, sim, results):
+        handle = sim.after(10, results.append, 'first')
+        sim.run_until(10)
+        assert handle.fired
+        return handle
+
+    def test_fires_at_now_plus_delay_in_seq_order(self):
+        sim = Simulator()
+        results = []
+        handle = self._fired(sim, results)
+        sim.after(5, results.append, 'before')
+        again = sim.rearm(handle, 5, results.append, 'rearmed')
+        sim.after(5, results.append, 'after')
+        assert again is handle
+        assert handle.pending and handle.time == 15
+        sim.run_until(100)
+        assert results == ['first', 'before', 'rearmed', 'after']
+        assert handle.fired
+
+    def test_rearm_from_own_callback(self):
+        sim = Simulator()
+        results = []
+        timer = {}
+
+        def tick(n):
+            results.append(sim.now)
+            if n:
+                timer['handle'] = sim.rearm(timer['handle'], 10, tick, n - 1)
+        first = timer['handle'] = sim.after(10, tick, 3)
+        sim.run_until_idle()
+        assert results == [10, 20, 30, 40]
+        assert timer['handle'] is first
+        assert sim.events_processed == 4
+        assert sim.pending_events == 0
+
+    def test_pending_handle_raises(self):
+        sim = Simulator()
+        handle = sim.after(10, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.rearm(handle, 5, lambda: None)
+        assert sim._queue._seq == 1
+        assert sim.pending_events == 1
+
+    def test_negative_delay_raises(self):
+        sim = Simulator()
+        handle = self._fired(sim, [])
+        with pytest.raises(SimulationError):
+            sim.rearm(handle, -1, lambda: None)
+        assert handle.fired
+        assert sim.pending_events == 0
+
+    def test_cancelled_handle_is_replaced(self):
+        sim = Simulator()
+        results = []
+        stale = sim.after(10, results.append, 'stale')
+        stale.cancel()
+        fresh = sim.rearm(stale, 20, results.append, 'fresh')
+        assert fresh is not stale
+        assert stale.cancelled and fresh.pending
+        sim.run_until(100)
+        assert results == ['fresh']
+
+    def test_none_allocates_a_handle(self):
+        sim = Simulator()
+        results = []
+        handle = sim.rearm(None, 7, results.append, 'new')
+        sim.run_until(100)
+        assert results == ['new']
+        assert handle.fired and handle.time == 7
+
+    def test_seq_rises_by_one_per_rearm(self):
+        sim = Simulator()
+        handle = self._fired(sim, [])
+        before = sim._queue._seq
+        handle = sim.rearm(handle, 5, lambda: None)
+        assert sim._queue._seq == before + 1 == handle.seq
+        handle.cancel()
+        handle = sim.rearm(handle, 5, lambda: None)
+        assert sim._queue._seq == before + 2 == handle.seq
+
+    def test_len_across_fire_rearm_cancel(self):
+        sim = Simulator()
+        queue = sim._queue
+        handle = self._fired(sim, [])
+        assert len(queue) == 0
+        sim.rearm(handle, 5, lambda: None)
+        assert len(queue) == 1
+        handle.cancel()
+        handle.cancel()
+        assert len(queue) == 0
+        handle = sim.rearm(handle, 5, lambda: None)
+        assert len(queue) == 1
+        sim.run_until(100)
+        assert len(queue) == 0
+        sim.rearm(handle, 5, lambda: None)
+        queue.clear()
+        assert len(queue) == 0
+        # Dropped by clear(): cancelling the detached handle leaves the
+        # count alone, and a replacement counts again.
+        handle.cancel()
+        assert len(queue) == 0
+        handle = sim.rearm(handle, 5, lambda: None)
+        assert len(queue) == 1
+        sim.run_until(200)
+        assert handle.fired and len(queue) == 0
+        sim.rearm(handle, 5, lambda: None)
+        assert len(queue) == 1
+
+
 def _dispatch_callees(stats):
     """``{(file tail, function name): calls}`` of every function that
     ``Simulator.step`` called in a ``pstats`` mapping."""
