@@ -1,13 +1,13 @@
-"""Timing harness for the run-spec pipeline: serial vs --jobs vs cache.
+"""Timing harness for the run cache and three hot-path micros.
 
-Times each quick figure three ways — SerialExecutor, ParallelRunner,
-and a second cached pass — and writes ``BENCH_runtimes.json`` at the
-repo root so the wall-time trajectory of the pipeline is tracked in
-version control.
+Times each quick figure through a cold and then a warm result cache
+(the warm pass must dispatch no run), plus the action-dispatch, latency
+percentile and replint micros, and writes ``BENCH_runtimes.json`` at
+the repo root. End-to-end simulator speed is measured by ``perfbench/``.
 
 Not collected by pytest (no ``test_`` prefix); run directly:
 
-    PYTHONPATH=src python benchmarks/runtime_baseline.py [--jobs N]
+    PYTHONPATH=src python benchmarks/runtime_baseline.py
 """
 
 import argparse
@@ -22,9 +22,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), '..', 'src'))
 
 from repro.experiments import (            # noqa: E402
-    ParallelRunner,
     ResultCache,
-    SerialExecutor,
     pipeline_counters,
     run_specs,
 )
@@ -57,10 +55,10 @@ DISPATCH_ITERATIONS = (10_000, 50_000)
 DISPATCH_REPEATS = 5
 
 
-def _timed(driver, executor=None, cache=None):
-    """Host seconds of one quick ``driver`` pass through ``run_specs``
-    with the given executor and cache."""
-    run = functools.partial(run_specs, executor=executor, cache=cache)
+def _timed(driver, cache):
+    """Host seconds of one serial quick ``driver`` pass through
+    ``run_specs`` with the given cache."""
+    run = functools.partial(run_specs, cache=cache)
     start = time.perf_counter()
     driver(quick=True, run=run)
     return round(time.perf_counter() - start, 4)
@@ -181,12 +179,10 @@ def measure_replint(budget_s=REPLINT_BUDGET_S):
     }
 
 
-def measure(jobs):
+def measure():
     results = {}
     for name, driver in FIGURES.items():
         entry = {}
-        entry['serial_s'] = _timed(driver, SerialExecutor())
-        entry[f'jobs{jobs}_s'] = _timed(driver, ParallelRunner(jobs=jobs))
         with tempfile.TemporaryDirectory() as tmp:
             cache = ResultCache(root=tmp)
             entry['cache_cold_s'] = _timed(driver, cache=cache)
@@ -211,8 +207,6 @@ def measure(jobs):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument('--jobs', type=int,
-                        default=min(4, os.cpu_count() or 1))
     parser.add_argument('--out', default=os.path.join(
         os.path.dirname(__file__), '..', 'BENCH_runtimes.json'))
     args = parser.parse_args(argv)
@@ -221,8 +215,7 @@ def main(argv=None):
         'harness': 'benchmarks/runtime_baseline.py',
         'python': platform.python_version(),
         'cpu_count': os.cpu_count(),
-        'jobs': args.jobs,
-        'figures': measure(args.jobs),
+        'figures': measure(),
     }
     with open(args.out, 'w') as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

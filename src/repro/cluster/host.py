@@ -37,8 +37,7 @@ class HostSpec:
     """
 
     def __init__(self, name, n_pcpus=4, strategy=VANILLA,
-                 capacity_vcpus=None, ple_window_ns=None,
-                 relaxed_co_skew_ns=None):
+                 capacity_vcpus=None):
         if n_pcpus < 1:
             raise ValueError('need at least one pCPU')
         if strategy not in HOST_STRATEGIES:
@@ -49,8 +48,6 @@ class HostSpec:
         self.strategy = strategy
         self.capacity_vcpus = (capacity_vcpus if capacity_vcpus is not None
                                else 2 * n_pcpus)
-        self.ple_window_ns = ple_window_ns
-        self.relaxed_co_skew_ns = relaxed_co_skew_ns
 
     def __repr__(self):
         return '<HostSpec %s %dpcpu/%dvcpu %s>' % (
@@ -93,12 +90,9 @@ class Host:
     def _descriptor(self):
         strategy = self.spec.strategy
         if strategy == PLE:
-            return StrategyDescriptor(ple=True,
-                                      ple_window_ns=self.spec.ple_window_ns)
+            return StrategyDescriptor(ple=True)
         if strategy == RELAXED_CO:
-            return StrategyDescriptor(
-                relaxed_co=True,
-                relaxed_co_skew_ns=self.spec.relaxed_co_skew_ns)
+            return StrategyDescriptor(relaxed_co=True)
         if strategy == IRS:
             sender = SaSender(self.sim, self.machine, self.irs_config)
             return StrategyDescriptor(sa_sender=sender)

@@ -168,7 +168,7 @@ class Migrator:
         policy = self.config.migrator_policy
         candidates = []
         for gcpu in self.kernel.gcpus:
-            if gcpu is source_gcpu or not gcpu.online:
+            if gcpu is source_gcpu:
                 continue
             state = self._probe(gcpu.vcpu)
             if state is None:

@@ -116,8 +116,8 @@ LEGAL_TRANSITIONS = {
     # Degradation: a retry after a lost ack re-enters the handler.
     (SA_LIMBO, EDGE_UPCALL): SA_SWITCHING,
     # Degradation: the guest blocked/yielded before the upcall landed
-    # (e.g. CPU hotplug parked the vCPU mid-round) — the hypervisor
-    # treats the sched_op as the acknowledgement.
+    # (e.g. its last task slept and the vCPU parked mid-round) — the
+    # hypervisor treats the sched_op as the acknowledgement.
     (SA_NOTIFIED, EDGE_EARLY_ACK): SA_ACKED,
     (SA_SWITCHING, EDGE_EARLY_ACK): SA_ACKED,
     # Degradation: spurious (delayed / duplicated) upcall opens a round
@@ -236,8 +236,8 @@ ILLEGAL_TRANSITIONS = frozenset((
 ))
 
 #: The transitions of an undisturbed round. Every legal transition
-#: outside this set is *degraded*: reachable only under faults,
-#: hotplug races, or teardown.
+#: outside this set is *degraded*: reachable only under faults, a
+#: vCPU parking mid-round, or teardown.
 NORMAL_TRANSITIONS = frozenset((
     (SA_IDLE, EDGE_OFFER),
     (SA_ACKED, EDGE_OFFER),
@@ -351,9 +351,9 @@ class SaVcpuProtocol:
     def ack(self):
         """Sender: the guest's acknowledgement landed. Resolves to the
         normal LIMBO handshake, an *early* ack (the guest blocked or
-        yielded before finishing the upcall — e.g. CPU hotplug parked
-        the vCPU mid-round), or a *late* ack (the round was already
-        closed guest-side while the sender still waited)."""
+        yielded before finishing the upcall — e.g. its last task slept
+        and the vCPU parked mid-round), or a *late* ack (the round was
+        already closed guest-side while the sender still waited)."""
         if self.state == SA_LIMBO:
             return self._transition(EDGE_ACK)
         if self.state in (SA_NOTIFIED, SA_SWITCHING):

@@ -111,7 +111,7 @@ class PullMigrator:
         best = None
         best_steal = -1
         for gcpu in self.kernel.gcpus:
-            if gcpu is idle_gcpu or not gcpu.online:
+            if gcpu is idle_gcpu:
                 continue
             if gcpu.current is None or gcpu.in_sa_handler:
                 continue

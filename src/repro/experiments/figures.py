@@ -22,6 +22,7 @@ either way, because a spec fully determines its outcome.
 
 import statistics
 
+from ..metrics.fairness import improvement_percent, weighted_speedup
 from ..obs.eventlog import format_residency, residency_timeline, vm_names
 from ..obs.report import drop_warnings, explain_empty, sa_latency_rows
 from ..simkernel.units import MS, SEC, US
@@ -101,7 +102,7 @@ def _improvement(base, strat):
     base_ns, strat_ns = _mean_span(base), _mean_span(strat)
     if base_ns is None or strat_ns is None or strat_ns <= 0:
         return None
-    return (base_ns / strat_ns - 1.0) * 100.0
+    return improvement_percent(base_ns, strat_ns)
 
 
 def _percent(fmt, value):
@@ -252,7 +253,7 @@ def _weighted_speedup(base, strat):
     base_rate, rate = _mean_rate(base), _mean_rate(strat)
     if not (base_span and span and base_rate and rate and base_rate > 0):
         return None
-    return (base_span / span + rate / base_rate) / 2.0 * 100.0
+    return weighted_speedup(base_span / span, rate / base_rate)
 
 
 def fig7(quick=True, apps=None, backgrounds=('fluidanimate',

@@ -25,6 +25,7 @@ Example::
 
 import statistics
 
+from ..metrics.fairness import improvement_percent
 from ..simkernel.units import MS
 from .executor import run_specs
 from .reporting import FigureResult
@@ -60,7 +61,7 @@ class SweepPoint:
     def improvement_over(self, other):
         if self.makespan_ns is None or other.makespan_ns is None:
             return None
-        return (other.makespan_ns / self.makespan_ns - 1.0) * 100.0
+        return improvement_percent(other.makespan_ns, self.makespan_ns)
 
 
 class Sweep:

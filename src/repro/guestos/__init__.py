@@ -6,7 +6,6 @@ load balancing, timers, and the migration stopper.
 
 from .balancer import GuestBalancer
 from .cfs import CfsConfig, CfsPolicy
-from .cpumask import CpuHotplug
 from .gcpu import GuestCpu
 from .interp import ActionInterpreter
 from .kernel import GuestKernel
@@ -29,7 +28,6 @@ __all__ = [
     'ActionInterpreter',
     'CfsConfig',
     'CfsPolicy',
-    'CpuHotplug',
     'GuestBalancer',
     'GuestCpu',
     'GuestKernel',

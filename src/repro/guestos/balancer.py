@@ -36,10 +36,8 @@ class GuestBalancer:
         only under the IRS wake rule, when the waker should preempt the
         tagged task currently occupying its home CPU.
         """
-        gcpus = self.kernel.online_gcpus()
+        gcpus = self.kernel.gcpus
         prev = task.gcpu if task.gcpu is not None else gcpus[0]
-        if not prev.online:
-            prev = gcpus[0]
 
         # Previous CPU idle: always best (cache locality, no preemption).
         if prev.is_guest_idle:
@@ -79,7 +77,7 @@ class GuestBalancer:
         busiest = None
         busiest_ready = 0
         for gcpu in self.kernel.gcpus:
-            if gcpu is local or not gcpu.online:
+            if gcpu is local:
                 continue
             ready = gcpu.rq.nr_ready
             if ready > busiest_ready:

@@ -1,8 +1,8 @@
 """Per-vCPU guest CPU state.
 
 A :class:`GuestCpu` is the guest kernel's view of one vCPU: runqueue,
-current task, timer handles, load tracking, and the hotplug/SA flags
-the rest of the guest layer keys off.
+current task, timer handles, load tracking, and the SA flag the rest
+of the guest layer keys off.
 """
 
 from .loadavg import RtAvgTracker
@@ -30,10 +30,6 @@ class GuestCpu:
         self.pending_work = []
         self.in_sa_handler = False
         self.busy_ns = 0
-        # Guest CPU hotplug state: offline CPUs take no tasks and are
-        # skipped by balancing and by the IRS migrator (Algorithm 2
-        # iterates *online* vCPUs).
-        self.online = True
 
     @property
     def is_guest_idle(self):

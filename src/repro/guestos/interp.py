@@ -10,8 +10,8 @@ which action it is or how many action types exist.
 Handlers have the signature ``handler(gcpu, task, action) -> bool``;
 True means the action was consumed and the task may keep executing,
 False that the task blocked, spun, yielded, or otherwise lost the CPU.
-New action types register via :meth:`ActionInterpreter.register`
-(subclasses of registered types resolve automatically).
+Dispatch is on the exact class: an action type missing from the table,
+including a subclass of one in it, raises ``TypeError``.
 """
 
 from ..workloads import actions as act
@@ -30,10 +30,6 @@ class ActionInterpreter:
         self._handlers = {
             act.Acquire: sync_engine.do_acquire,
             act.Release: sync_engine.do_release,
-            act.AcquireRead: sync_engine.do_acquire_read,
-            act.AcquireWrite: sync_engine.do_acquire_write,
-            act.ReleaseRead: sync_engine.do_release_read,
-            act.ReleaseWrite: sync_engine.do_release_write,
             act.BarrierWait: sync_engine.do_barrier,
             act.QueuePut: sync_engine.do_queue_put,
             act.QueueGet: sync_engine.do_queue_get,
@@ -41,10 +37,6 @@ class ActionInterpreter:
             act.Mark: self._do_mark,
             act.YieldCpu: self._do_yield,
         }
-
-    def register(self, action_type, handler):
-        """Bind ``handler(gcpu, task, action)`` to ``action_type``."""
-        self._handlers[action_type] = handler
 
     def run(self, gcpu):
         """Drive ``gcpu``'s current task until it computes, spins,
@@ -90,18 +82,8 @@ class ActionInterpreter:
         continue executing (action consumed)."""
         handler = self._handlers.get(action.__class__)
         if handler is None:
-            handler = self._resolve(action)
+            raise TypeError('unknown action %r' % (action,))
         return handler(gcpu, task, action)
-
-    def _resolve(self, action):
-        """Slow path: walk the MRO so subclasses of registered action
-        types dispatch like their base, then cache the result."""
-        for klass in action.__class__.__mro__[1:]:
-            handler = self._handlers.get(klass)
-            if handler is not None:
-                self._handlers[action.__class__] = handler
-                return handler
-        raise TypeError('unknown action %r' % (action,))
 
     # ------------------------------------------------------------------
     # Non-sync one-shot actions

@@ -4,8 +4,8 @@ It owns task lifecycle and CFS dispatch (wake/schedule/preempt/block)
 and composes the rest of the guest layer as cohesive engines:
 :class:`~repro.guestos.interp.ActionInterpreter` (workload-action
 execution, the hot path), :class:`~repro.guestos.syncobjects.SyncEngine`
-(lock/barrier/queue wait-grant), :class:`~repro.guestos.timers.TickDriver`
-(quantum/tick/NOHZ) and :class:`~repro.guestos.cpumask.CpuHotplug`.
+(lock/barrier/queue wait-grant) and
+:class:`~repro.guestos.timers.TickDriver` (quantum/tick/NOHZ).
 
 Execution is charged between events in integer nanoseconds; when the
 hypervisor deschedules a vCPU the guest's view simply freezes — its
@@ -22,7 +22,6 @@ from ..hypervisor.hypercalls import SCHEDOP_BLOCK, SCHEDOP_YIELD
 from ..workloads import actions as act
 from .balancer import GuestBalancer
 from .cfs import CfsConfig, CfsPolicy
-from .cpumask import CpuHotplug
 from .gcpu import GuestCpu
 from .interp import ActionInterpreter
 from .syncobjects import SyncEngine
@@ -50,7 +49,6 @@ class GuestKernel:
         self.ticks = TickDriver(self)
         self.sync = SyncEngine(self)
         self.interp = ActionInterpreter(self)
-        self.hotplug = CpuHotplug(self)
         self.tasks = []
         # Optional components, wired via the attach points below.
         self.sa_receiver = None      # IRS receiver (repro.core)
@@ -292,17 +290,6 @@ class GuestKernel:
             floor = entries[0][0]
         if floor > rq.min_vruntime:
             rq.min_vruntime = floor
-
-    # CPU hotplug (delegates to the CpuHotplug engine).
-
-    def offline_gcpu(self, index):
-        self.hotplug.offline(index)
-
-    def online_gcpu(self, index):
-        self.hotplug.online(index)
-
-    def online_gcpus(self):
-        return self.hotplug.online_gcpus()
 
     # ==================================================================
     # IRS hooks (used by repro.core)

@@ -17,7 +17,7 @@ from ..workloads import sync
 
 
 class SyncEngine:
-    """Wait-grant logic for locks, rwlocks, barriers and queues."""
+    """Wait-grant logic for locks, barriers and queues."""
 
     def __init__(self, kernel):
         self.kernel = kernel
@@ -63,42 +63,6 @@ class SyncEngine:
                 new_owner.action = None
                 self.notify_grantee_lock(new_owner)
                 self.kernel.wake_task(new_owner)
-        return True
-
-    # ------------------------------------------------------------------
-    # Reader-writer lock
-    # ------------------------------------------------------------------
-
-    def do_acquire_read(self, gcpu, task, action):
-        return self._rw_acquire(gcpu, task, action.lock.acquire_read(task))
-
-    def do_acquire_write(self, gcpu, task, action):
-        return self._rw_acquire(gcpu, task, action.lock.acquire_write(task))
-
-    def _rw_acquire(self, gcpu, task, status):
-        if status == sync.ACQUIRED:
-            task.action = None
-            self.notify_lock_acquired(gcpu)
-            return True
-        self.sim.trace.count('guest.block_waits')
-        self.kernel._block_current(gcpu)
-        return False
-
-    def do_release_read(self, gcpu, task, action):
-        task.action = None
-        self.notify_lock_released(gcpu)
-        return self._rw_release(action.lock.release_read(task))
-
-    def do_release_write(self, gcpu, task, action):
-        task.action = None
-        self.notify_lock_released(gcpu)
-        return self._rw_release(action.lock.release_write(task))
-
-    def _rw_release(self, woken):
-        for other in woken:
-            other.action = None
-            self.notify_grantee_lock(other)
-            self.kernel.wake_task(other)
         return True
 
     # ------------------------------------------------------------------

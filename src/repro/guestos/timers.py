@@ -132,7 +132,7 @@ class TickDriver:
         work, because idle CPUs take no ticks."""
         kernel = self.kernel
         for gcpu in kernel.gcpus:
-            if gcpu is busy_gcpu or not gcpu.online:
+            if gcpu is busy_gcpu:
                 continue
             if not gcpu.is_guest_idle:
                 continue

@@ -14,7 +14,6 @@ from .balance_sched import BalanceScheduler
 from .balancer import HypervisorBalancer
 from .channels import EventChannels
 from .credit import CreditConfig, CreditScheduler
-from .delayed_preempt import DelayedPreemption
 from .hypercalls import HypercallInterface
 from .pcpu import PCpu
 from .ple import PleMonitor
@@ -26,24 +25,16 @@ class StrategyDescriptor:
 
     One value object covers every optional component a host can carry,
     so cluster hosts (``repro.cluster``) and the experiment layer can
-    compose strategies without per-strategy call sites. ``None`` for a
-    window/threshold means the component's default."""
+    compose strategies without per-strategy call sites. Each component
+    is built with its defaults; delay-preemption wires through
+    :func:`~repro.hypervisor.delayed_preempt.install_delayed_preemption`."""
 
-    def __init__(self, ple=False, ple_window_ns=None,
-                 relaxed_co=False, relaxed_co_skew_ns=None,
-                 unpinned=False, balance_sched=False,
-                 delay_preempt=False, dp_window_ns=None,
-                 dp_max_extension_ns=None,
-                 sa_sender=None, fault_injector=None):
+    def __init__(self, ple=False, relaxed_co=False, unpinned=False,
+                 balance_sched=False, sa_sender=None, fault_injector=None):
         self.ple = ple
-        self.ple_window_ns = ple_window_ns
         self.relaxed_co = relaxed_co
-        self.relaxed_co_skew_ns = relaxed_co_skew_ns
         self.unpinned = unpinned
         self.balance_sched = balance_sched
-        self.delay_preempt = delay_preempt
-        self.dp_window_ns = dp_window_ns
-        self.dp_max_extension_ns = dp_max_extension_ns
         self.sa_sender = sa_sender
         self.fault_injector = fault_injector
 
@@ -57,8 +48,6 @@ class StrategyDescriptor:
             parts.append('unpinned')
         if self.balance_sched:
             parts.append('balance_sched')
-        if self.delay_preempt:
-            parts.append('delay_preempt')
         if self.sa_sender is not None:
             parts.append('sa_sender')
         if self.fault_injector is not None:
@@ -103,32 +92,15 @@ class Machine:
         point cluster hosts configure themselves through; the legacy
         ``enable_*`` methods below are shims over this."""
         if descriptor.ple:
-            if descriptor.ple_window_ns is None:
-                self.ple = PleMonitor(self.sim, self)
-            else:
-                self.ple = PleMonitor(self.sim, self,
-                                      window_ns=descriptor.ple_window_ns)
+            self.ple = PleMonitor(self.sim, self)
         if descriptor.relaxed_co:
-            if descriptor.relaxed_co_skew_ns is None:
-                self.relaxed_co = RelaxedCoScheduler(self.sim, self)
-            else:
-                self.relaxed_co = RelaxedCoScheduler(
-                    self.sim, self,
-                    skew_threshold_ns=descriptor.relaxed_co_skew_ns)
+            self.relaxed_co = RelaxedCoScheduler(self.sim, self)
         if descriptor.unpinned or descriptor.balance_sched:
             if self.hv_balancer is None:
                 self.hv_balancer = HypervisorBalancer(self)
         if descriptor.balance_sched:
             if not isinstance(self.hv_balancer, BalanceScheduler):
                 self.hv_balancer = BalanceScheduler(self, self.hv_balancer)
-        if descriptor.delay_preempt:
-            kwargs = {}
-            if descriptor.dp_window_ns is not None:
-                kwargs['window_ns'] = descriptor.dp_window_ns
-            if descriptor.dp_max_extension_ns is not None:
-                kwargs['max_extension_ns'] = descriptor.dp_max_extension_ns
-            self.attach_delay_preempt(
-                DelayedPreemption(self.sim, self, **kwargs))
         if descriptor.sa_sender is not None:
             self.sa_sender = descriptor.sa_sender
         if descriptor.fault_injector is not None:

@@ -4,7 +4,6 @@ and run-level collection."""
 from .collector import RunMetrics, TaskMetrics, VmMetrics
 from .fairness import (
     improvement_percent,
-    speedup,
     utilization_vs_fair_share,
     weighted_speedup,
 )
@@ -15,7 +14,6 @@ __all__ = [
     'improvement_percent',
     'LatencyRecorder',
     'RunMetrics',
-    'speedup',
     'TaskMetrics',
     'TimelineRecorder',
     'TimelineSample',

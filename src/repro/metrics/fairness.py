@@ -31,21 +31,6 @@ def improvement_percent(vanilla_time_ns, strategy_time_ns):
     return (vanilla_time_ns / strategy_time_ns - 1.0) * 100.0
 
 
-def speedup(vanilla_metric, strategy_metric, higher_is_better=False):
-    """Speedup of a strategy relative to vanilla (1.0 = parity).
-
-    For times (lower better) pass the raw values; for rates (higher
-    better) set ``higher_is_better``.
-    """
-    if higher_is_better:
-        if vanilla_metric <= 0:
-            raise ValueError('vanilla rate must be positive')
-        return strategy_metric / vanilla_metric
-    if strategy_metric <= 0:
-        raise ValueError('strategy time must be positive')
-    return vanilla_metric / strategy_metric
-
-
 def weighted_speedup(foreground_speedup, background_speedup):
     """System efficiency: the (weighted) average speedup of the
     co-located applications, in percent (100 = vanilla parity)."""

@@ -50,9 +50,9 @@ DECLARED_METRICS = frozenset((
     'dp.budget_exhausted', 'dp.deferrals',
     'balancesched.vetoes',
     # guest kernel
-    'guest.block_waits', 'guest.cpu_offline', 'guest.cpu_online',
-    'guest.nohz_kicks', 'guest.pulls', 'guest.spin_waits',
-    'guest.stopper_migrations', 'guest.task_exits', 'guest.wakeups',
+    'guest.block_waits', 'guest.nohz_kicks', 'guest.pulls',
+    'guest.spin_waits', 'guest.stopper_migrations', 'guest.task_exits',
+    'guest.wakeups',
     # IRS core (sender / receiver / context switcher / migrator)
     'irs.context_switches', 'irs.migrations', 'irs.migrator_aborts',
     'irs.migrator_failures', 'irs.migrator_fallbacks',

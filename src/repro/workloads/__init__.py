@@ -5,16 +5,12 @@ from . import actions
 from . import sync
 from .actions import (
     Acquire,
-    AcquireRead,
-    AcquireWrite,
     BarrierWait,
     Compute,
     Mark,
     QueueGet,
     QueuePut,
     Release,
-    ReleaseRead,
-    ReleaseWrite,
     Sleep,
     YieldCpu,
 )
@@ -45,18 +41,16 @@ from .suites import (
     profile_variant,
     WorkloadProfile,
 )
-from .sync import Barrier, BoundedQueue, Mutex, RwLock, SpinLock
+from .sync import Barrier, BoundedQueue, Mutex, SpinLock
 
 __all__ = [
-    'Acquire', 'AcquireRead', 'AcquireWrite', 'actions', 'ALL_PROFILES',
-    'ApacheBenchWorkload',
+    'Acquire', 'actions', 'ALL_PROFILES', 'ApacheBenchWorkload',
     'Barrier', 'barrier_phases', 'BarrierWait', 'BoundedQueue',
     'Compute', 'compute_chunks', 'cpu_hog', 'get_profile', 'HogWorkload',
     'Mark', 'Mutex', 'mutex_loop', 'NPB', 'OpenLoopServerWorkload',
     'ParallelWorkload', 'PARSEC',
     'PIPELINE_STOP', 'pipeline_sink', 'pipeline_source', 'pipeline_stage',
-    'profile_variant', 'QueueGet', 'QueuePut', 'Release', 'ReleaseRead',
-    'ReleaseWrite', 'RwLock', 'ServerWorkload',
+    'profile_variant', 'QueueGet', 'QueuePut', 'Release', 'ServerWorkload',
     'Sleep', 'SpecJbbWorkload', 'SpinLock', 'sync', 'WorkloadProfile',
     'work_steal_worker', 'YieldCpu',
 ]

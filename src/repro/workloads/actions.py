@@ -122,51 +122,3 @@ class YieldCpu(Action):
 
     def __repr__(self):
         return 'YieldCpu()'
-
-
-class AcquireRead(Action):
-    """Take a reader-writer lock for shared (read) access."""
-
-    __slots__ = ('lock',)
-
-    def __init__(self, lock):
-        self.lock = lock
-
-    def __repr__(self):
-        return 'AcquireRead(%s)' % self.lock.name
-
-
-class AcquireWrite(Action):
-    """Take a reader-writer lock for exclusive (write) access."""
-
-    __slots__ = ('lock',)
-
-    def __init__(self, lock):
-        self.lock = lock
-
-    def __repr__(self):
-        return 'AcquireWrite(%s)' % self.lock.name
-
-
-class ReleaseRead(Action):
-    """Drop shared access to a reader-writer lock."""
-
-    __slots__ = ('lock',)
-
-    def __init__(self, lock):
-        self.lock = lock
-
-    def __repr__(self):
-        return 'ReleaseRead(%s)' % self.lock.name
-
-
-class ReleaseWrite(Action):
-    """Drop exclusive access to a reader-writer lock."""
-
-    __slots__ = ('lock',)
-
-    def __init__(self, lock):
-        self.lock = lock
-
-    def __repr__(self):
-        return 'ReleaseWrite(%s)' % self.lock.name

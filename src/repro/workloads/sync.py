@@ -191,69 +191,3 @@ class BoundedQueue:
             return PASS, item, producer
         self.get_waiters.append(task)
         return WAIT, None, None
-
-
-class RwLock:
-    """Blocking reader-writer lock with writer preference (like
-    pthread rwlocks with `PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP`,
-    the discipline PARSEC's annotation-heavy apps assume).
-
-    Writer preference means new readers wait once a writer queues —
-    which also means a *preempted writer* stalls every reader behind
-    it: the LHP amplification for read-mostly workloads.
-    """
-
-    def __init__(self, name='rwlock'):
-        self.name = name
-        self.readers = set()
-        self.writer = None
-        self.read_waiters = []
-        self.write_waiters = []
-        self.total_acquires = 0
-        self.contended_acquires = 0
-
-    def acquire_read(self, task):
-        """Returns ACQUIRED or WAIT (caller sleeps until granted)."""
-        self.total_acquires += 1
-        if self.writer is None and not self.write_waiters:
-            self.readers.add(task)
-            return ACQUIRED
-        self.contended_acquires += 1
-        self.read_waiters.append(task)
-        return WAIT
-
-    def acquire_write(self, task):
-        """Returns ACQUIRED or WAIT."""
-        self.total_acquires += 1
-        if self.writer is None and not self.readers:
-            self.writer = task
-            return ACQUIRED
-        self.contended_acquires += 1
-        self.write_waiters.append(task)
-        return WAIT
-
-    def release_read(self, task):
-        """Returns the tasks to wake (at most one writer)."""
-        if task not in self.readers:
-            raise RuntimeError('%s released read by non-reader %s'
-                               % (self.name, task.name))
-        self.readers.discard(task)
-        if not self.readers and self.write_waiters:
-            self.writer = self.write_waiters.pop(0)
-            return [self.writer]
-        return []
-
-    def release_write(self, task):
-        """Returns the tasks to wake: the next writer, or every queued
-        reader."""
-        if self.writer is not task:
-            raise RuntimeError('%s released write by non-writer %s'
-                               % (self.name, task.name))
-        self.writer = None
-        if self.write_waiters:
-            self.writer = self.write_waiters.pop(0)
-            return [self.writer]
-        woken = self.read_waiters
-        self.read_waiters = []
-        self.readers.update(woken)
-        return woken

@@ -7,6 +7,7 @@ from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
 from repro.workloads import (
     Acquire,
+    actions,
     Barrier,
     BarrierWait,
     BoundedQueue,
@@ -375,6 +376,24 @@ class TestExitAndErrors:
         machine, vm, kernel = single_vm_machine(sim)
         with pytest.raises(TypeError):
             kernel.spawn('t', iter([object()]))
+
+    def test_dispatch_is_on_the_exact_action_class(self, sim):
+        """Every one-shot action type has its own table row, so the
+        interpreter never walks the MRO: a subclass of a table action
+        is an unknown action."""
+        machine, vm, kernel = single_vm_machine(sim)
+        action_types = {cls for cls in vars(actions).values()
+                        if isinstance(cls, type)
+                        and issubclass(cls, actions.Action)}
+        one_shot = action_types - {actions.Action, actions.Compute}
+        assert one_shot
+        assert one_shot <= set(kernel.interp._handlers)
+
+        class MyAcquire(Acquire):
+            __slots__ = ()
+
+        with pytest.raises(TypeError, match='unknown action'):
+            kernel.spawn('t', iter([MyAcquire(Mutex('m'))]))
 
     def test_zero_time_action_livelock_detected(self, sim):
         machine, vm, kernel = single_vm_machine(sim)

@@ -7,7 +7,6 @@ from repro.metrics import (
     LatencyRecorder,
     RunMetrics,
     improvement_percent,
-    speedup,
     utilization_vs_fair_share,
     weighted_speedup,
 )
@@ -118,20 +117,12 @@ class TestFairnessMetrics:
     def test_improvement_zero_at_parity(self):
         assert improvement_percent(100, 100) == 0.0
 
-    def test_speedup_time_metric(self):
-        assert speedup(200, 100) == 2.0
-
-    def test_speedup_rate_metric(self):
-        assert speedup(100, 200, higher_is_better=True) == 2.0
-
     def test_weighted_speedup(self):
         assert weighted_speedup(1.4, 1.0) == pytest.approx(120.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             improvement_percent(100, 0)
-        with pytest.raises(ValueError):
-            speedup(100, 0)
 
 
 class TestUtilizationAndRunMetrics:

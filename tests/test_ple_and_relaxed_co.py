@@ -1,6 +1,6 @@
 """Behavioural tests for the PLE and relaxed co-scheduling strategies."""
 
-from repro.hypervisor import Machine, StrategyDescriptor
+from repro.hypervisor import Machine, PleMonitor, StrategyDescriptor
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
 from repro.workloads import Acquire, Compute, Release, SpinLock
@@ -68,8 +68,7 @@ class TestPle:
     def test_short_spin_does_not_trigger(self):
         sim = Simulator(seed=2)
         machine = Machine(sim, n_pcpus=1)
-        machine.attach_strategies(
-            StrategyDescriptor(ple=True, ple_window_ns=50 * US))
+        machine.ple = PleMonitor(sim, machine, window_ns=50 * US)
         vm, kernel = build_vm(sim, machine, 'par', pinning=[0])
         lock = SpinLock('l')
 

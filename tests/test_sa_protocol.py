@@ -7,7 +7,7 @@ Three layers of coverage:
   exhaustively (every ``(state, edge)`` pair), including the guarantee
   that illegal edges are recorded without corrupting the state;
 * live rounds: happy-path IRS runs traverse only normal edges, fault
-  campaigns traverse the degraded ones, and CPU hotplug mid-round
+  campaigns traverse the degraded ones, and a vCPU parking mid-round
   resolves through the early-ack edges — all with the runtime
   sanitizer raising on any inconsistency;
 * the sanitizer itself: each of the three new SA invariants is shown
@@ -304,34 +304,38 @@ class TestLiveRounds:
         sanitizer.assert_clean()
 
 
-class TestHotplugRaces:
-    def test_offline_while_notified(self):
-        """Offlining the gCPU while the upcall is still travelling: the
-        parked vCPU answers with a sched_op the sender treats as an
-        early ack — never an illegal edge."""
+class TestParkMidRound:
+    def test_park_while_notified(self):
+        """The gCPU parks while the upcall is still travelling (its only
+        task blocks): the parked vCPU answers with a sched_op the sender
+        treats as an early ack — never an illegal edge."""
         plan = FaultPlan('drops', [FaultSpec('virq_drop', 1.0,
                                              virq=VIRQ_SA_UPCALL, vm='fg')])
         sim, machine, kernel, sender, sanitizer = irs_scenario(
             seed=5, plan=plan)
         vcpu = machine.vms[0].vcpus[0]
         assert run_until_sa_state(sim, vcpu, SA_NOTIFIED, 2 * SEC)
-        kernel.offline_gcpu(0)
+        gcpu = kernel.gcpus[0]
+        assert gcpu.current is not None and gcpu.rq.nr_ready == 0
+        kernel._block_current(gcpu)
         sim.run_until(sim.now + 100 * MS)
         proto = vcpu.sa_protocol
         assert not proto.illegal
         assert proto.state in SA_QUIESCENT_STATES
         sanitizer.assert_clean()
 
-    def test_offline_while_limbo(self):
-        """Offlining mid-round with the ack lost: the round must drain
-        through retry/timeout without tripping any SA invariant."""
+    def test_park_while_limbo(self):
+        """The gCPU parks mid-round with the ack lost: the round must
+        drain through retry/timeout without tripping any SA invariant."""
         plan = FaultPlan('acks', [FaultSpec('sa_ack_timeout', 1.0,
                                             vm='fg')])
         sim, machine, kernel, sender, sanitizer = irs_scenario(
             seed=6, plan=plan)
         vcpu = machine.vms[0].vcpus[0]
         assert run_until_sa_state(sim, vcpu, SA_LIMBO, 2 * SEC)
-        kernel.offline_gcpu(0)
+        gcpu = kernel.gcpus[0]
+        assert gcpu.current is None and vcpu.is_running
+        kernel._go_idle(gcpu)
         sim.run_until(sim.now + 100 * MS)
         proto = vcpu.sa_protocol
         assert not proto.illegal
