@@ -1,8 +1,9 @@
 """Cluster layer: multi-host simulation on one clock.
 
-Hosts wrap :class:`~repro.hypervisor.machine.Machine` with capacity and
-strategy descriptors; the :class:`Cluster` coordinator routes VM
-requests through admission control and a pluggable placement policy
+Hosts wrap :class:`~repro.hypervisor.machine.Machine` with a capacity
+and a strategy wired by ``repro.experiments.strategies``; the
+:class:`Cluster` coordinator routes VM requests through admission
+control and a pluggable placement policy
 (first-fit, least-loaded, or interference-aware scoring over per-VM
 interference profiles); a :class:`LiveMigrationEngine` moves VMs
 between hosts with a deterministic dirty-state cost model; and the
@@ -23,7 +24,6 @@ from .cluster import Cluster, RebalanceDaemon, VmRequest
 from .host import (
     HOST_DEGRADED,
     HOST_FAILED,
-    HOST_STRATEGIES,
     HOST_UP,
     Host,
     HostSpec,
@@ -53,7 +53,6 @@ __all__ = [
     'HostWatchdog',
     'HOST_DEGRADED',
     'HOST_FAILED',
-    'HOST_STRATEGIES',
     'HOST_UP',
     'RecoveryController',
     'InterferenceAwarePolicy',

@@ -92,7 +92,7 @@ class Cluster:
         self.injector = fault_plan.build(sim) if fault_plan else None
         if self.injector is not None:
             for host in self.hosts:
-                host.machine.attach_fault_injector(self.injector)
+                host.machine.fault_injector = self.injector
         self.migration = LiveMigrationEngine(sim, cost_model=cost_model,
                                              injector=self.injector)
         self.migration.events = self.events

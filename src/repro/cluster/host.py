@@ -1,25 +1,18 @@
 """A cluster host: one :class:`~repro.hypervisor.machine.Machine` plus
-the capacity and strategy descriptor the cluster layer schedules
-against.
+the capacity and strategy the cluster layer schedules against.
 
 A :class:`HostSpec` is the declarative half (shape, strategy, capacity)
-and a :class:`Host` the live half: it builds the machine, attaches the
-strategy components through ``Machine.attach_strategies``, and tracks
-VM residency, capacity reservations, and the interference monitor the
-placement policies read.
+and a :class:`Host` the live half: it builds the machine, wires the
+strategy through ``repro.experiments.strategies`` (the one name to
+components table), and tracks VM residency, capacity reservations, and
+the interference monitor the placement policies read.
 """
 
-from ..core import IRSConfig, SaReceiver
-from ..core.sender import SaSender
-from ..hypervisor import Machine, StrategyDescriptor
+from ..core import IRSConfig, install_irs, install_irs_guest
+from ..experiments.strategies import (ALL_STRATEGIES, IRS, VANILLA,
+                                      apply_strategy)
+from ..hypervisor import Machine
 from ..obs import eventlog
-
-VANILLA = 'vanilla'
-PLE = 'ple'
-RELAXED_CO = 'relaxed_co'
-IRS = 'irs'
-
-HOST_STRATEGIES = (VANILLA, PLE, RELAXED_CO, IRS)
 
 # Host health states (repro.cluster.recovery drives the transitions).
 HOST_UP = 'up'
@@ -40,9 +33,9 @@ class HostSpec:
                  capacity_vcpus=None):
         if n_pcpus < 1:
             raise ValueError('need at least one pCPU')
-        if strategy not in HOST_STRATEGIES:
+        if strategy not in ALL_STRATEGIES:
             raise ValueError('unknown host strategy %r (want one of %s)'
-                             % (strategy, ', '.join(HOST_STRATEGIES)))
+                             % (strategy, ', '.join(ALL_STRATEGIES)))
         self.name = name
         self.n_pcpus = n_pcpus
         self.strategy = strategy
@@ -64,7 +57,11 @@ class Host:
         self.name = spec.name
         self.machine = Machine(sim, n_pcpus=spec.n_pcpus)
         self.irs_config = irs_config or IRSConfig()
-        self.machine.attach_strategies(self._descriptor())
+        # Guests opt into IRS per VM at placement (enable_irs_guest).
+        if spec.strategy == IRS:
+            install_irs(self.machine, (), self.irs_config)
+        else:
+            apply_strategy(self.machine, spec.strategy)
         # Per-host metric scope: everything this host (and its monitor)
         # records lives under ``host.<name>.`` in the shared registry,
         # carrying a ``host`` label for the Prometheus exposition.
@@ -86,17 +83,6 @@ class Host:
         # the rebalance daemon; set/cleared by the HostWatchdog.
         self.quarantined = False
         self.crashes = 0
-
-    def _descriptor(self):
-        strategy = self.spec.strategy
-        if strategy == PLE:
-            return StrategyDescriptor(ple=True)
-        if strategy == RELAXED_CO:
-            return StrategyDescriptor(relaxed_co=True)
-        if strategy == IRS:
-            sender = SaSender(self.sim, self.machine, self.irs_config)
-            return StrategyDescriptor(sa_sender=sender)
-        return StrategyDescriptor()
 
     def start(self):
         self.machine.start()
@@ -188,9 +174,7 @@ class Host:
         host without a sender: the guest would never see activations."""
         if self.machine.sa_sender is None:
             return None
-        return kernel.attach_sa_receiver(
-            SaReceiver(self.sim, kernel, self.irs_config),
-            wake_rule=self.irs_config.wakeup_preempt_tagged)
+        return install_irs_guest(kernel, self.irs_config)
 
     def evict_vm(self, vm):
         """Live-migration pause: pull ``vm`` off this host. The VM

@@ -12,6 +12,7 @@ the second half of the story: under a bad initial placement it churns
 a good placement stays quiet.
 """
 
+from ..experiments.strategies import ALL_STRATEGIES
 from ..faults import FaultPlan, parse_fault_plan
 from ..metrics import LatencyRecorder
 from ..obs.exporters import write_chrome_trace
@@ -19,7 +20,7 @@ from ..obs.exposition import write_exposition
 from ..simkernel import Simulator
 from ..simkernel.units import MS, SEC
 from .cluster import Cluster, RebalanceDaemon, VmRequest
-from .host import HOST_STRATEGIES, HostSpec
+from .host import HostSpec
 
 # Counter prefixes surfaced in ClusterRunResult.counters — the
 # fault/recovery ledger the resilience figure and the determinism gate
@@ -108,7 +109,7 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
     always recorded — it is a low-rate control-plane ledger, like the
     admission ledger — only the exports and the span probes are opt-in.
     """
-    if strategy not in HOST_STRATEGIES:
+    if strategy not in ALL_STRATEGIES:
         raise ValueError('unknown strategy %r' % strategy)
     fault_plan = None
     fault_name = None

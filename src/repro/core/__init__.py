@@ -2,7 +2,8 @@
 
 Wires the four components of Figure 3 into a machine and a guest:
 SA sender (hypervisor), SA receiver, context switcher, and migrator
-(guest). Use :func:`install_irs` for the usual case.
+(guest). Use :func:`install_irs` for the usual case and
+:func:`install_irs_guest` to opt one more guest in.
 """
 
 from .config import IRSConfig
@@ -13,31 +14,37 @@ from .receiver import SaReceiver
 from .sender import SaSender
 
 
+def install_irs_guest(kernel, config):
+    """Give ``kernel`` the guest half of IRS: a :class:`SaReceiver`
+    (with its context switcher and migrator) and the tagged-task
+    wakeup preemption rule of its balancer. Returns the receiver."""
+    return kernel.attach_sa_receiver(
+        SaReceiver(kernel.sim, kernel, config),
+        wake_rule=config.wakeup_preempt_tagged)
+
+
 def install_irs(machine, kernels, config=None):
     """Enable IRS on ``machine`` for the guests in ``kernels``.
 
-    Attaches one :class:`SaSender` to the hypervisor and, per guest, a
-    :class:`SaReceiver` (with its context switcher and migrator). The
-    guests' wake balancers gain the tagged-task preemption rule. VMs
-    whose kernels are not listed keep vanilla behaviour and simply never
-    receive activations.
+    Sets one :class:`SaSender` as the machine's ``sa_sender`` and gives
+    each listed guest its half through :func:`install_irs_guest`. VMs
+    whose kernels are not listed keep vanilla behaviour and simply
+    never receive activations.
 
     Returns the sender.
     """
     config = config or IRSConfig()
-    sender = SaSender(machine.sim, machine, config)
-    machine.attach_sa_sender(sender)
+    machine.sa_sender = SaSender(machine.sim, machine, config)
     for kernel in kernels:
-        kernel.attach_sa_receiver(
-            SaReceiver(machine.sim, kernel, config),
-            wake_rule=config.wakeup_preempt_tagged)
-    return sender
+        install_irs_guest(kernel, config)
+    return machine.sa_sender
 
 
 __all__ = [
     'ContextSwitcher',
     'IRSConfig',
     'install_irs',
+    'install_irs_guest',
     'install_pull_irs',
     'Migrator',
     'PullMigrator',

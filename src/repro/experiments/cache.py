@@ -29,10 +29,7 @@ callers that export (the CLI's ``--trace-out`` family) run uncached.
 import hashlib
 import os
 import pickle
-import time
 
-from ..obs import eventlog
-from ..obs.eventlog import EventLog
 from ..obs.histograms import MetricsRegistry
 from .spec import RunOutcome, RunSpec  # noqa: F401  (re-export for users)
 
@@ -46,25 +43,6 @@ CACHE_FORMAT = 1
 #: executor module. One registry so a single snapshot shows the whole
 #: pipeline's counters.
 METRICS = MetricsRegistry()
-
-#: Shared pipeline profiling log: per-spec dispatch/done/retry events
-#: from the executors and hit/miss/store events from the cache, in one
-#: bounded :class:`~repro.obs.eventlog.EventLog`. Timestamps are
-#: wall-clock ``time.monotonic_ns()`` — this is host-side profiling,
-#: deliberately outside the simulated (and cached) world, which is why
-#: these events never appear in outcomes or cache entries.
-PROFILE_LOG = EventLog()
-
-
-def _profile(kind, **detail):
-    # Wall-clock by design: profiles the pipeline itself, never the
-    # simulated world.  # replint: disable=determinism
-    PROFILE_LOG.append(time.monotonic_ns(), kind, **detail)
-
-
-def profile_events():
-    """The pipeline profiling events recorded so far (oldest first)."""
-    return PROFILE_LOG.events
 
 _fingerprint_memo = {}
 
@@ -138,26 +116,20 @@ class ResultCache:
                 envelope = pickle.load(handle)
         except FileNotFoundError:
             METRICS.count('runcache.miss')
-            _profile(eventlog.EVENT_CACHE_MISS, spec=spec.describe())
             return None
         except Exception:
             # Torn write, stale pickle protocol, garbage: a miss, and
             # the entry is gone so it cannot keep failing.
             self._evict(path)
             METRICS.count('runcache.miss')
-            _profile(eventlog.EVENT_CACHE_MISS, spec=spec.describe(),
-                     reason='corrupt')
             return None
         if (not isinstance(envelope, dict)
                 or envelope.get('format') != CACHE_FORMAT
                 or envelope.get('token') != spec.cache_token()):
             self._evict(path)
             METRICS.count('runcache.miss')
-            _profile(eventlog.EVENT_CACHE_MISS, spec=spec.describe(),
-                     reason='stale')
             return None
         METRICS.count('runcache.hit')
-        _profile(eventlog.EVENT_CACHE_HIT, spec=spec.describe())
         return envelope['outcome']
 
     def store(self, spec, outcome):
@@ -171,7 +143,6 @@ class ResultCache:
             pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
         METRICS.count('runcache.store')
-        _profile(eventlog.EVENT_CACHE_STORE, spec=spec.describe())
 
     @staticmethod
     def _evict(path):

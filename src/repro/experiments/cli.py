@@ -174,7 +174,8 @@ def main(argv=None):
                              'worker produces no result within SECONDS of '
                              'real time; a second timeout fails the batch '
                              'naming the hung spec. Implies worker '
-                             'processes even with --jobs 1')
+                             'processes even with --jobs 1, so it cannot '
+                             'be combined with the export flags')
     parser.add_argument('--cache', action=argparse.BooleanOptionalAction,
                         default=True,
                         help='reuse cached run results from %s, keyed by '
@@ -243,6 +244,11 @@ def main(argv=None):
     for flag, path in exports:
         if not path:
             continue
+        if args.wall_timeout is not None:
+            parser.error(
+                '--wall-timeout cannot be combined with %s: exports run '
+                'in-process, where no watchdog can kill a hung run; drop '
+                'one of the two' % flag)
         try:
             # Fail fast with a clean parser error (permissions, missing
             # directory) instead of a traceback after minutes of runs.

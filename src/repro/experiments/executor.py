@@ -28,13 +28,8 @@ import time
 
 from ..core import IRSConfig
 from ..faults import parse_fault_plan
-from ..obs import eventlog
 from ..workloads import get_profile, profile_variant
-from .cache import (  # noqa: F401  (ResultCache re-export)
-    METRICS,
-    PROFILE_LOG,
-    ResultCache,
-)
+from .cache import METRICS, ResultCache  # noqa: F401  (ResultCache re-export)
 from .harness import (
     ObservabilityConfig,
     run_migration_probe,
@@ -178,8 +173,6 @@ class SerialExecutor:
         for spec in specs:
             METRICS.count('executor.dispatched')
             started = time.monotonic_ns()  # replint: disable=determinism
-            PROFILE_LOG.append(started, eventlog.EVENT_SPEC_DISPATCH,
-                               spec=spec.describe(), jobs=1)
             try:
                 outcomes.append(execute_spec(spec, observe=self.observe))
             except Exception as exc:
@@ -187,8 +180,6 @@ class SerialExecutor:
             finished = time.monotonic_ns()  # replint: disable=determinism
             wall_ns = finished - started
             METRICS.histogram('executor.run_wall_ns').record(wall_ns)
-            PROFILE_LOG.append(finished, eventlog.EVENT_SPEC_DONE,
-                               spec=spec.describe(), wall_ns=wall_ns)
         return outcomes
 
     def __repr__(self):
@@ -249,9 +240,6 @@ class ParallelRunner:
                             % self.wall_timeout)) from exc
                     retried.add(i)
                     METRICS.count('executor.timeout_retries')
-                    PROFILE_LOG.append(time.monotonic_ns(),  # replint: disable=determinism
-                                       eventlog.EVENT_SPEC_RETRY,
-                                       spec=spec.describe())
                     # Every uncollected spec's worker died with the old
                     # pool; resubmit them all (determinism makes the
                     # redone work exact, just wasted).
@@ -269,8 +257,6 @@ class ParallelRunner:
                 # the worker's run (the parent cannot see inside).
                 wall_ns = finished - submitted[i]
                 METRICS.histogram('executor.run_wall_ns').record(wall_ns)
-                PROFILE_LOG.append(finished, eventlog.EVENT_SPEC_DONE,
-                                   spec=spec.describe(), wall_ns=wall_ns)
                 i += 1
             return outcomes
         finally:
@@ -283,8 +269,6 @@ class ParallelRunner:
             METRICS.count('executor.dispatched')
             now = time.monotonic_ns()  # replint: disable=determinism
             submitted.append(now)
-            PROFILE_LOG.append(now, eventlog.EVENT_SPEC_DISPATCH,
-                               spec=spec.describe(), jobs=self.jobs)
             futures.append(pool.submit(self._worker, spec))
         return futures, submitted
 

@@ -10,8 +10,8 @@
 """
 
 from ..core import IRSConfig, install_irs
-from ..hypervisor.delayed_preempt import install_delayed_preemption
-from ..hypervisor.machine import StrategyDescriptor
+from ..hypervisor import (BalanceScheduler, HypervisorBalancer, PleMonitor,
+                          RelaxedCoScheduler, install_delayed_preemption)
 
 VANILLA = 'vanilla'
 PLE = 'ple'
@@ -27,32 +27,32 @@ EXTENSION_STRATEGIES = (DELAY_PREEMPT, BALANCE_SCHED)
 
 
 def apply_strategy(machine, strategy, irs_kernels=(), irs_config=None):
-    """Wire ``strategy`` into a freshly built machine.
+    """Wire ``strategy`` into a freshly built machine: the one place a
+    strategy name becomes components.
 
     ``irs_kernels`` are the guest kernels that implement the SA handler
-    when the strategy is IRS (usually just the foreground VM's kernel).
+    when the strategy is IRS (usually just the foreground VM's kernel),
+    or that cooperate with delay-preemption.
     """
     if strategy == VANILLA:
-        return None
-    if strategy == PLE:
-        machine.attach_strategies(StrategyDescriptor(ple=True))
-        return machine.ple
-    if strategy == RELAXED_CO:
-        machine.attach_strategies(StrategyDescriptor(relaxed_co=True))
-        return machine.relaxed_co
-    if strategy == IRS:
+        pass
+    elif strategy == PLE:
+        machine.ple = PleMonitor(machine.sim, machine)
+    elif strategy == RELAXED_CO:
+        machine.relaxed_co = RelaxedCoScheduler(machine.sim, machine)
+    elif strategy == IRS:
         if not irs_kernels:
             raise ValueError('IRS requires at least one capable guest')
-        return install_irs(machine, irs_kernels,
-                           irs_config or IRSConfig())
-    if strategy == DELAY_PREEMPT:
+        install_irs(machine, irs_kernels, irs_config or IRSConfig())
+    elif strategy == DELAY_PREEMPT:
         if not irs_kernels:
             raise ValueError('delay-preemption requires at least one '
                              'cooperating guest')
-        return install_delayed_preemption(machine, irs_kernels)
-    if strategy == BALANCE_SCHED:
+        install_delayed_preemption(machine, irs_kernels)
+    elif strategy == BALANCE_SCHED:
         # Only meaningful for unpinned vCPUs (placement-based scheme).
-        machine.attach_strategies(StrategyDescriptor(balance_sched=True))
-        return machine.hv_balancer
-    raise ValueError('unknown strategy %r (want one of %s)'
-                     % (strategy, ', '.join(ALL_STRATEGIES)))
+        machine.hv_balancer = BalanceScheduler(
+            machine, machine.hv_balancer or HypervisorBalancer(machine))
+    else:
+        raise ValueError('unknown strategy %r (want one of %s)'
+                         % (strategy, ', '.join(ALL_STRATEGIES)))

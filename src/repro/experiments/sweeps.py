@@ -30,7 +30,7 @@ from ..simkernel.units import MS
 from .executor import run_specs
 from .reporting import FigureResult
 from .spec import SpecError, parallel_spec
-from .strategies import VANILLA
+from .strategies import ALL_STRATEGIES, VANILLA
 from .topology import NO_INTERFERENCE
 
 #: Run kwargs the declarative RunSpec dialect can express.
@@ -133,8 +133,7 @@ class Sweep:
         title = title or 'Sweep: %s over %s' % (self.app, dimension)
         return FigureResult(title, headers, rows, notes)
 
-    def strategies(self, strategies=('vanilla', 'ple', 'relaxed_co',
-                                     'irs'), title=None):
+    def strategies(self, strategies=ALL_STRATEGIES, title=None):
         """Convenience: sweep the scheduling strategy, vanilla-based."""
         return self.over('strategy', list(strategies), baseline=VANILLA,
                          title=title)

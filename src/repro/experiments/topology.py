@@ -12,7 +12,7 @@ Encodes the paper's experimental settings (Section 5.1):
 """
 
 from ..guestos import GuestKernel
-from ..hypervisor import Machine, VM
+from ..hypervisor import HypervisorBalancer, Machine, VM
 from ..simkernel import Simulator
 from ..workloads import HogWorkload, ParallelWorkload, get_profile
 
@@ -69,7 +69,7 @@ def build_scenario(seed=0, n_pcpus=4, fg_vcpus=4,
     sim = Simulator(seed=seed)
     machine = Machine(sim, n_pcpus=n_pcpus)
     if not pinned:
-        machine.enable_unpinned_balancing()
+        machine.hv_balancer = HypervisorBalancer(machine)
 
     fg_vm = VM('fg', fg_vcpus, sim)
     fg_pinning = list(range(fg_vcpus)) if pinned else None

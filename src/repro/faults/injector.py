@@ -157,7 +157,6 @@ class FaultInjector:
     def __init__(self, sim, specs=()):
         self.sim = sim
         self.specs = list(specs)
-        self.machine = None
         #: injections per fault kind this run.
         self.injected = Counter()
         #: SA-protocol state of the target vCPU at the moment each
@@ -171,8 +170,7 @@ class FaultInjector:
 
     def attach(self, machine):
         """Wire this injector into ``machine``. Returns self."""
-        machine.attach_fault_injector(self)
-        self.machine = machine
+        machine.fault_injector = self
         return self
 
     # ------------------------------------------------------------------

@@ -11,9 +11,10 @@ Execution is charged between events in integer nanoseconds; when the
 hypervisor deschedules a vCPU the guest's view simply freezes — its
 current task stays "running" and its timer ticks stop — which is
 precisely the semantic gap IRS bridges. Optional components plug in
-through the typed attach points (:meth:`GuestKernel.attach_sa_receiver`,
-:meth:`GuestKernel.attach_pull_migrator`,
-:meth:`GuestKernel.attach_delay_preempt`) and the IRS hooks
+through two attach points that do work beyond the assignment
+(:meth:`GuestKernel.attach_sa_receiver`,
+:meth:`GuestKernel.attach_pull_migrator`), the ``delay_preempt`` slot
+that ``install_delayed_preemption`` assigns, and the IRS hooks
 ``sa_begin`` / ``sa_context_switch`` / ``sa_ack`` /
 ``migrate_limbo_task``.
 """
@@ -50,14 +51,15 @@ class GuestKernel:
         self.sync = SyncEngine(self)
         self.interp = ActionInterpreter(self)
         self.tasks = []
-        # Optional components, wired via the attach points below.
+        # Optional components: the first two wired via the attach
+        # points below, the third assigned by its installer.
         self.sa_receiver = None      # IRS receiver (repro.core)
         self.pull_migrator = None    # pull-based IRS (repro.core.pull_irs)
         self.delay_preempt = None    # delay-preemption baseline
         vm.attach_guest(self)
 
     # ==================================================================
-    # Typed attach points (no setattr wiring from other layers)
+    # Attach points (wiring that does more than assign a slot)
     # ==================================================================
 
     def attach_sa_receiver(self, receiver, wake_rule=None):
@@ -79,13 +81,6 @@ class GuestKernel:
             if gcpu.is_guest_idle:
                 migrator.on_idle(gcpu)
         return migrator
-
-    def attach_delay_preempt(self, manager):
-        """Install the delay-preemption manager (Uhlig et al.
-        baseline); the sync engine brackets critical sections with its
-        ``lock_acquired``/``lock_released`` notifications."""
-        self.delay_preempt = manager
-        return manager
 
     # ==================================================================
     # Task lifecycle

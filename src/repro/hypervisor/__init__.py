@@ -11,7 +11,7 @@ from .channels import VIRQ_SA_UPCALL, VIRQ_TIMER, EventChannels
 from .credit import CreditConfig, CreditScheduler
 from .delayed_preempt import DelayedPreemption, install_delayed_preemption
 from .hypercalls import SCHEDOP_BLOCK, SCHEDOP_YIELD, HypercallInterface
-from .machine import Machine, StrategyDescriptor
+from .machine import Machine
 from .pcpu import PCpu
 from .ple import PleMonitor
 from .relaxed_co import RelaxedCoScheduler
@@ -49,7 +49,6 @@ __all__ = [
     'RUNSTATE_RUNNING',
     'SCHEDOP_BLOCK',
     'SCHEDOP_YIELD',
-    'StrategyDescriptor',
     'VCpu',
     'VIRQ_SA_UPCALL',
     'VIRQ_TIMER',

@@ -108,18 +108,15 @@ class DelayedPreemption:
         self.machine.scheduler.retry_preemption(pcpu)
 
 
-def install_delayed_preemption(machine, kernels, window_ns=None,
-                               max_extension_ns=None):
+def install_delayed_preemption(machine, kernels,
+                               window_ns=DEFAULT_WINDOW_NS,
+                               max_extension_ns=DEFAULT_MAX_EXTENSION_NS):
     """Enable delay-preemption for the given guests. Returns the
     manager. Mutually exclusive with IRS (both hook the preemption
     path)."""
-    kwargs = {}
-    if window_ns is not None:
-        kwargs['window_ns'] = window_ns
-    if max_extension_ns is not None:
-        kwargs['max_extension_ns'] = max_extension_ns
-    manager = machine.attach_delay_preempt(
-        DelayedPreemption(machine.sim, machine, **kwargs))
+    manager = DelayedPreemption(machine.sim, machine, window_ns=window_ns,
+                                max_extension_ns=max_extension_ns)
+    machine.delay_preempt = manager
     for kernel in kernels:
-        kernel.attach_delay_preempt(manager)
+        kernel.delay_preempt = manager
     return manager

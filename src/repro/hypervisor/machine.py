@@ -1,58 +1,25 @@
-"""The physical machine: pCPUs, VMs, scheduler, and strategy wiring.
+"""The physical machine: pCPUs, VMs, scheduler, and strategy slots.
 
 A :class:`Machine` is the root object of the hypervisor substrate. The
 scheduling *strategy* — vanilla credit, PLE, relaxed co-scheduling, or
-IRS — is selected by which optional components are attached:
+IRS — is selected by which optional component fills a slot. Each slot
+is a plain attribute that its installer assigns
+(``repro.experiments.strategies.apply_strategy`` maps a strategy name
+to installers):
 
-* ``sa_sender`` — the IRS scheduler-activation sender (``repro.core``);
+* ``sa_sender`` — the IRS scheduler-activation sender (``install_irs``);
 * ``ple`` — the pause-loop-exiting monitor;
 * ``relaxed_co`` — the relaxed co-scheduling monitor;
-* ``hv_balancer`` — the VM-oblivious vCPU balancer (unpinned mode).
+* ``hv_balancer`` — the VM-oblivious vCPU balancer (unpinned mode), or
+  the balance scheduler wrapping it;
+* ``delay_preempt`` — the delayed-preemption manager;
+* ``fault_injector`` — the fault plane (``FaultInjector.attach``).
 """
 
-from .balance_sched import BalanceScheduler
-from .balancer import HypervisorBalancer
 from .channels import EventChannels
 from .credit import CreditConfig, CreditScheduler
 from .hypercalls import HypercallInterface
 from .pcpu import PCpu
-from .ple import PleMonitor
-from .relaxed_co import RelaxedCoScheduler
-
-
-class StrategyDescriptor:
-    """Declarative description of a machine's strategy attachments.
-
-    One value object covers every optional component a host can carry,
-    so cluster hosts (``repro.cluster``) and the experiment layer can
-    compose strategies without per-strategy call sites. Each component
-    is built with its defaults; delay-preemption wires through
-    :func:`~repro.hypervisor.delayed_preempt.install_delayed_preemption`."""
-
-    def __init__(self, ple=False, relaxed_co=False, unpinned=False,
-                 balance_sched=False, sa_sender=None, fault_injector=None):
-        self.ple = ple
-        self.relaxed_co = relaxed_co
-        self.unpinned = unpinned
-        self.balance_sched = balance_sched
-        self.sa_sender = sa_sender
-        self.fault_injector = fault_injector
-
-    def __repr__(self):
-        parts = []
-        if self.ple:
-            parts.append('ple')
-        if self.relaxed_co:
-            parts.append('relaxed_co')
-        if self.unpinned:
-            parts.append('unpinned')
-        if self.balance_sched:
-            parts.append('balance_sched')
-        if self.sa_sender is not None:
-            parts.append('sa_sender')
-        if self.fault_injector is not None:
-            parts.append('faults')
-        return '<StrategyDescriptor %s>' % (' '.join(parts) or 'vanilla')
 
 
 class Machine:
@@ -81,50 +48,6 @@ class Machine:
 
         if sim.sanitizer is not None:
             sim.sanitizer.attach_machine(self)
-
-    # ------------------------------------------------------------------
-    # Strategy wiring
-    # ------------------------------------------------------------------
-
-    def attach_strategies(self, descriptor):
-        """Declarative strategy wiring: attach every component named by
-        a :class:`StrategyDescriptor` in one call. The single entry
-        point cluster hosts configure themselves through; the legacy
-        ``enable_*`` methods below are shims over this."""
-        if descriptor.ple:
-            self.ple = PleMonitor(self.sim, self)
-        if descriptor.relaxed_co:
-            self.relaxed_co = RelaxedCoScheduler(self.sim, self)
-        if descriptor.unpinned or descriptor.balance_sched:
-            if self.hv_balancer is None:
-                self.hv_balancer = HypervisorBalancer(self)
-        if descriptor.balance_sched:
-            if not isinstance(self.hv_balancer, BalanceScheduler):
-                self.hv_balancer = BalanceScheduler(self, self.hv_balancer)
-        if descriptor.sa_sender is not None:
-            self.sa_sender = descriptor.sa_sender
-        if descriptor.fault_injector is not None:
-            self.fault_injector = descriptor.fault_injector
-        return self
-
-    def attach_delay_preempt(self, manager):
-        """Attach the delayed-preemption manager (the hypervisor half;
-        guests opt in via ``GuestKernel.attach_delay_preempt``)."""
-        self.delay_preempt = manager
-        return manager
-
-    def enable_unpinned_balancing(self):
-        """Attach the hypervisor vCPU balancer (vCPUs float freely)."""
-        self.attach_strategies(StrategyDescriptor(unpinned=True))
-        return self.hv_balancer
-
-    def attach_sa_sender(self, sender):
-        """Attach the IRS scheduler-activation sender."""
-        self.attach_strategies(StrategyDescriptor(sa_sender=sender))
-
-    def attach_fault_injector(self, injector):
-        """Attach a deterministic fault injector (``repro.faults``)."""
-        self.attach_strategies(StrategyDescriptor(fault_injector=injector))
 
     # ------------------------------------------------------------------
     # VM lifecycle

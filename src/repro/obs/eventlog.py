@@ -72,15 +72,6 @@ TRAFFIC_EVENT_KINDS = (
     EVENT_SCALE_REJECT, EVENT_VM_RETIRE,
 )
 
-# Pipeline-profiling kinds (wall-clock, emitted by the executor/cache;
-# deliberately *not* part of the deterministic cluster vocabulary).
-EVENT_SPEC_DISPATCH = 'spec.dispatch'    # spec, queue
-EVENT_SPEC_DONE = 'spec.done'            # spec, wall_ns
-EVENT_SPEC_RETRY = 'spec.timeout_retry'  # spec
-EVENT_CACHE_HIT = 'cache.hit'            # spec
-EVENT_CACHE_MISS = 'cache.miss'          # spec
-EVENT_CACHE_STORE = 'cache.store'        # spec
-
 
 def _jsonl_line(event):
     """One canonical JSONL line: sorted keys, fixed separators — the

@@ -25,7 +25,8 @@ from ..simkernel import Simulator
 from ..simkernel.units import MS, SEC
 from ..cluster.cluster import (Cluster, RebalanceDaemon, VmRequest,
                                WORKLOAD_NONE)
-from ..cluster.host import HOST_STRATEGIES, HostSpec
+from ..cluster.host import HostSpec
+from ..experiments.strategies import ALL_STRATEGIES
 from .arrivals import make_arrivals
 from .autoscaler import SloAutoscaler
 from .router import RequestRouter
@@ -295,7 +296,7 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
     ``autoscale=True`` arms the :class:`SloAutoscaler` with the
     baseline fleet as its floor and ``max_replicas`` as its ceiling.
     """
-    if strategy not in HOST_STRATEGIES:
+    if strategy not in ALL_STRATEGIES:
         raise ValueError('unknown strategy %r' % strategy)
     fault_plan = None
     fault_name = None

@@ -15,8 +15,8 @@ structural invariants of the two-level scheduler must hold:
 from hypothesis import given, settings, strategies as st
 
 from repro.core import install_irs
+from repro.experiments import apply_strategy
 from repro.faults import FaultInjector, FaultSpec
-from repro.hypervisor import StrategyDescriptor
 from repro.simkernel import install_sanitizer
 from repro.guestos.task import (
     TASK_EXITED,
@@ -100,10 +100,8 @@ def build_random_scenario(seed, n_pcpus, strategy, sync_kind, n_hogs):
 
     if strategy == 'irs':
         install_irs(machine, [kernel])
-    elif strategy == 'ple':
-        machine.attach_strategies(StrategyDescriptor(ple=True))
-    elif strategy == 'relaxed_co':
-        machine.attach_strategies(StrategyDescriptor(relaxed_co=True))
+    elif strategy in ('ple', 'relaxed_co'):
+        apply_strategy(machine, strategy)
 
     if sync_kind == 'mutex':
         lock = Mutex()

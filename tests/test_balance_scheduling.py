@@ -1,7 +1,7 @@
 """Tests for the balance-scheduling baseline (paper ref [30])."""
 
-from repro.experiments import InterferenceSpec, run_parallel
-from repro.hypervisor import Machine, StrategyDescriptor, VM
+from repro.experiments import InterferenceSpec, apply_strategy, run_parallel
+from repro.hypervisor import Machine, VM
 from repro.metrics import TimelineRecorder
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC
@@ -16,8 +16,7 @@ class TestPlacementConstraint:
         vCPUs drops to (near) zero even unpinned."""
         sim = Simulator(seed=1)
         machine = Machine(sim, 4)
-        machine.attach_strategies(
-            StrategyDescriptor(unpinned=True, balance_sched=True))
+        apply_strategy(machine, 'balance_sched')
         vm, kernel = build_vm(sim, machine, 'fg', n_vcpus=4)
         __, hk = build_vm(sim, machine, 'bg', n_vcpus=4)
         for i in range(4):

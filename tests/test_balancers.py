@@ -15,7 +15,7 @@ class TestHypervisorWakePlacement:
     def _machine(self, n_pcpus=4):
         sim = Simulator(seed=1)
         machine = Machine(sim, n_pcpus)
-        machine.enable_unpinned_balancing()
+        machine.hv_balancer = HypervisorBalancer(machine)
         vm = VM('vm', n_pcpus, sim)
         machine.add_vm(vm)
         return sim, machine, vm
@@ -77,7 +77,7 @@ class TestHypervisorRebalance:
     def test_rebalance_spreads_queued_vcpus(self):
         sim = Simulator(seed=2)
         machine = Machine(sim, 2)
-        machine.enable_unpinned_balancing()
+        machine.hv_balancer = HypervisorBalancer(machine)
         vm = VM('vm', 3, sim)
         machine.add_vm(vm)
         for vcpu in vm.vcpus:
@@ -93,7 +93,7 @@ class TestHypervisorRebalance:
     def test_balanced_queues_untouched(self):
         sim = Simulator(seed=3)
         machine = Machine(sim, 2)
-        machine.enable_unpinned_balancing()
+        machine.hv_balancer = HypervisorBalancer(machine)
         vm = VM('vm', 2, sim)
         machine.add_vm(vm)
         for i, vcpu in enumerate(vm.vcpus):
@@ -104,7 +104,7 @@ class TestHypervisorRebalance:
     def test_pinned_vcpus_never_moved(self):
         sim = Simulator(seed=4)
         machine = Machine(sim, 2)
-        machine.enable_unpinned_balancing()
+        machine.hv_balancer = HypervisorBalancer(machine)
         vm = VM('vm', 3, sim)
         machine.add_vm(vm, pinning=[0, 0, 0])
         for vcpu in vm.vcpus:

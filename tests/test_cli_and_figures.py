@@ -155,6 +155,18 @@ class TestCliJobsAndCache:
         assert 'cannot be combined with --trace-out' in err
         assert 'worker process' in err
 
+    @pytest.mark.parametrize('flag', ['--trace-out', '--events-out',
+                                      '--metrics-out'])
+    def test_wall_timeout_with_export_is_clean_error(self, tmp_path,
+                                                     capsys, flag):
+        target = tmp_path / 'export.out'
+        with pytest.raises(SystemExit) as excinfo:
+            main(['fig1a', '--wall-timeout', '5', flag, str(target)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert '--wall-timeout cannot be combined with %s' % flag in err
+        assert not target.exists()
+
     def test_jobs_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv('REPRO_JOBS', '2')
         assert main(['fig1a', '--no-cache']) == 0

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import (
     Cluster,
+    Host,
     HostSpec,
     MigrationCostModel,
     RebalanceDaemon,
@@ -16,8 +17,10 @@ from repro.cluster import (
     make_policy,
     run_consolidation,
 )
-from repro.experiments import ClusterSpec, SpecError, cluster_spec
-from repro.hypervisor import RUNSTATE_OFFLINE
+from repro.experiments import (ALL_STRATEGIES, ClusterSpec, SpecError,
+                               apply_strategy, cluster_spec)
+from repro.guestos import GuestKernel
+from repro.hypervisor import RUNSTATE_OFFLINE, VM, Machine
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC
 
@@ -43,6 +46,30 @@ class TestHostSpec:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
             HostSpec('h0', strategy='magic')
+
+
+STRATEGY_SLOTS = ('sa_sender', 'ple', 'relaxed_co', 'hv_balancer',
+                  'delay_preempt', 'fault_injector')
+
+
+def test_host_wiring_matches_apply_strategy():
+    """A host of each strategy carries the same components as a lone
+    machine given that strategy name; the extension baselines are not
+    host strategies."""
+    for strategy in ALL_STRATEGIES:
+        host = Host(Simulator(seed=0), HostSpec('h0', strategy=strategy), 0)
+        sim = Simulator(seed=0)
+        machine = Machine(sim, n_pcpus=4)
+        vm = VM('vm', 2, sim)
+        machine.add_vm(vm, pinning=[0, 1])
+        apply_strategy(machine, strategy,
+                       irs_kernels=[GuestKernel(sim, vm, machine)])
+        for slot in STRATEGY_SLOTS:
+            assert (type(getattr(host.machine, slot))
+                    is type(getattr(machine, slot))), (strategy, slot)
+    for strategy in ('delay_preempt', 'balance_sched'):
+        with pytest.raises(ValueError):
+            HostSpec('h0', strategy=strategy)
 
 
 class TestPlacementPolicies:

@@ -1,6 +1,7 @@
 """Behavioural tests for the PLE and relaxed co-scheduling strategies."""
 
-from repro.hypervisor import Machine, PleMonitor, StrategyDescriptor
+from repro.experiments import apply_strategy
+from repro.hypervisor import Machine, PleMonitor
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
 from repro.workloads import Acquire, Compute, Release, SpinLock
@@ -21,7 +22,7 @@ class TestPle:
         sim = Simulator(seed=1)
         machine = Machine(sim, n_pcpus=2)
         if ple:
-            machine.attach_strategies(StrategyDescriptor(ple=True))
+            apply_strategy(machine, 'ple')
         vm, kernel = build_vm(sim, machine, 'par', n_vcpus=2,
                               pinning=[0, 1])
         __, hk = build_vm(sim, machine, 'hog', n_vcpus=1, pinning=[1])
@@ -91,8 +92,7 @@ class TestRelaxedCo:
         sim = Simulator(seed=3)
         machine = Machine(sim, n_pcpus=2)
         if relaxed:
-            machine.attach_strategies(
-                StrategyDescriptor(relaxed_co=True))
+            apply_strategy(machine, 'relaxed_co')
         vm, kernel = build_vm(sim, machine, 'par', n_vcpus=2,
                               pinning=[0, 1])
         __, hk = build_vm(sim, machine, 'hog', n_vcpus=1, pinning=[1])
@@ -125,7 +125,7 @@ class TestRelaxedCo:
     def test_single_vcpu_vm_ignored(self):
         sim = Simulator(seed=4)
         machine = Machine(sim, n_pcpus=1)
-        machine.attach_strategies(StrategyDescriptor(relaxed_co=True))
+        apply_strategy(machine, 'relaxed_co')
         __, kernel = build_vm(sim, machine, 'uni', pinning=[0])
         __, hk = build_vm(sim, machine, 'hog', pinning=[0])
         kernel.spawn('w', hog())
