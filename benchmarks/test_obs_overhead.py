@@ -95,8 +95,8 @@ def test_cluster_observability_does_not_perturb_the_run():
     base = run_consolidation(**CLUSTER_KWARGS)
     observed = run_consolidation(observe=ObservabilityConfig(),
                                  **CLUSTER_KWARGS)
-    assert (json.dumps(base.summary(), sort_keys=True)
-            == json.dumps(observed.summary(), sort_keys=True))
+    assert (json.dumps(base, sort_keys=True)
+            == json.dumps(observed, sort_keys=True))
 
 
 def test_cluster_disabled_probe_overhead_under_two_percent():
@@ -114,7 +114,7 @@ def test_cluster_disabled_probe_overhead_under_two_percent():
 
     # Every control-plane transition the chaos run produced is a
     # probe-site execution (the health event log records them all).
-    probe_calls = CLUSTER_PROBES_PER_EVENT * len(result.events)
+    probe_calls = CLUSTER_PROBES_PER_EVENT * len(result['events'])
     assert probe_calls > 0, 'chaos run exercised no cluster probe sites'
 
     overhead = probe_calls * per_call

@@ -39,13 +39,12 @@ from .placement import (
 )
 from .profiles import HostInterferenceMonitor, VmInterferenceProfile
 from .recovery import ClusterFaultDriver, HostWatchdog, RecoveryController
-from .scenario import ClusterRunResult, run_consolidation
+from .scenario import run_consolidation
 
 __all__ = [
     'AdmissionController',
     'Cluster',
     'ClusterFaultDriver',
-    'ClusterRunResult',
     'FirstFitPolicy',
     'Host',
     'HostInterferenceMonitor',

@@ -67,19 +67,6 @@ class MigrationRecord:
         self.aborted_ns = None
         self.abort_reason = None
 
-    def as_dict(self):
-        return {
-            'vm': self.vm_name,
-            'source': self.source,
-            'target': self.target,
-            'reason': self.reason,
-            'started_ns': self.started_ns,
-            'transfer_ns': self.transfer_ns,
-            'completed_ns': self.completed_ns,
-            'aborted_ns': self.aborted_ns,
-            'abort_reason': self.abort_reason,
-        }
-
     def __repr__(self):
         if self.completed_ns is not None:
             state = 'done@%d' % self.completed_ns
@@ -362,13 +349,6 @@ class LiveMigrationEngine:
         for vm, flight in list(self.in_flight.items()):
             if flight.target is host:
                 self.abort(vm, reason=reason, retry=False)
-
-    def flights_from(self, host):
-        """In-flight migrations whose *source* is ``host``. They keep
-        flying after a source crash — the hand-off already happened —
-        and complete through the normal adopt path on the target."""
-        return [vm for vm, flight in self.in_flight.items()
-                if flight.source is host]
 
     @property
     def completed(self):

@@ -10,76 +10,81 @@ routes the servers to the quiet hosts. The rebalance daemon then tells
 the second half of the story: under a bad initial placement it churns
 (migrations, each with a real downtime cost) trying to repair it, while
 a good placement stays quiet.
+
+The run skeleton here — :func:`build_cluster`, :func:`submit_hogs` and
+:func:`cluster_summary` — is shared with
+:func:`repro.traffic.run_traffic`, which swaps the server VMs for the
+traffic plane's serving fleet.
 """
 
 from ..experiments.strategies import ALL_STRATEGIES
 from ..faults import FaultPlan, parse_fault_plan
 from ..metrics import LatencyRecorder
-from ..obs.exporters import write_chrome_trace
-from ..obs.exposition import write_exposition
 from ..simkernel import Simulator
 from ..simkernel.units import MS, SEC
 from .cluster import Cluster, RebalanceDaemon, VmRequest
 from .host import HostSpec
 
-# Counter prefixes surfaced in ClusterRunResult.counters — the
+# Counter prefixes surfaced in a cluster run's ``counters`` — the
 # fault/recovery ledger the resilience figure and the determinism gate
 # read (parked VMs, rollbacks, leaked-reservation-free aborts, ...),
 # plus the span ring's drop count so reports can warn on truncation.
 CLUSTER_COUNTER_PREFIXES = ('cluster.', 'faults.', 'spans.dropped')
 
 
-class ClusterRunResult:
-    """Everything the figure needs from one cluster run."""
+def build_cluster(strategy, placement, seed, n_hosts, host_pcpus,
+                  capacity_vcpus, rebalance, faults, observe):
+    """Build the simulator and an ``n_hosts`` cluster running
+    ``strategy`` on every host. ``faults`` is a campaign name, a
+    :class:`~repro.faults.FaultPlan` or None; ``observe`` (None = no
+    capture) enables the span probes. Returns
+    ``(sim, cluster, fault_name)``."""
+    if strategy not in ALL_STRATEGIES:
+        raise ValueError('unknown strategy %r' % strategy)
+    fault_plan = None
+    fault_name = None
+    if faults is not None:
+        fault_plan = (faults if isinstance(faults, FaultPlan)
+                      else parse_fault_plan(faults))
+        fault_name = fault_plan.name if fault_plan is not None else None
+    sim = Simulator(seed=seed)
+    if observe is not None and observe.spans:
+        sim.trace.spans.enabled = True
+    specs = [HostSpec('host%d' % i, n_pcpus=host_pcpus, strategy=strategy,
+                      capacity_vcpus=capacity_vcpus)
+             for i in range(n_hosts)]
+    daemon = RebalanceDaemon() if rebalance else None
+    cluster = Cluster(sim, specs, policy=placement, rebalance=daemon,
+                      fault_plan=fault_plan)
+    return sim, cluster, fault_name
 
-    def __init__(self, strategy, placement, seed, throughput,
-                 latency_summary, migrations, rejections, dropped,
-                 placements, rebalance_trips, faults=None, counters=None,
-                 recovered=0, parked=0, aborted_migrations=0,
-                 host_crashes=0, events=None, event_counts=None):
-        self.strategy = strategy
-        self.placement = placement
-        self.seed = seed
-        self.throughput = throughput
-        self.latency_summary = latency_summary
-        self.migrations = migrations
-        self.rejections = rejections
-        self.dropped = dropped
-        self.placements = placements
-        self.rebalance_trips = rebalance_trips
-        self.faults = faults
-        self.counters = dict(counters or {})
-        self.recovered = recovered
-        self.parked = parked
-        self.aborted_migrations = aborted_migrations
-        self.host_crashes = host_crashes
-        # Health event log (JSON-simple dicts, sim order) plus its
-        # per-kind tally.
-        self.events = list(events or [])
-        self.event_counts = dict(event_counts or {})
 
-    def summary(self):
-        """JSON-simple dict (what the pipeline caches)."""
-        return {
-            'strategy': self.strategy,
-            'placement': self.placement,
-            'seed': self.seed,
-            'throughput': self.throughput,
-            'latency': self.latency_summary,
-            'migrations': self.migrations,
-            'rejections': self.rejections,
-            'dropped': self.dropped,
-            'placements': self.placements,
-            'rebalance_trips': self.rebalance_trips,
-            'faults': self.faults,
-            'counters': self.counters,
-            'recovered': self.recovered,
-            'parked': self.parked,
-            'aborted_migrations': self.aborted_migrations,
-            'host_crashes': self.host_crashes,
-            'events': self.events,
-            'event_counts': self.event_counts,
-        }
+def submit_hogs(sim, cluster, n, vcpus, every_ns):
+    """Submit ``n`` batch hog VMs, one every ``every_ns`` from 10 ms,
+    so each lands on live monitor data."""
+    for i in range(n):
+        request = VmRequest('hog%d' % i, n_vcpus=vcpus,
+                            workload='hogs', working_set_mb=256)
+        sim.at(10 * MS + i * every_ns, cluster.submit, request)
+
+
+def cluster_summary(sim, cluster, fault_name, observe,
+                    prefixes=CLUSTER_COUNTER_PREFIXES):
+    """The summary keys every cluster run shares, then the run's
+    exports. The counters are read before exporting: the trace export
+    flushes open spans, which can count ``spans.dropped``."""
+    summary = {
+        'migrations': len(cluster.migration.records),
+        'rejections': cluster.admission.rejected,
+        'faults': fault_name,
+        'counters': sim.trace.metrics.counter_values(prefixes=prefixes),
+        'host_crashes': sum(host.crashes for host in cluster.hosts),
+        'events': cluster.events.to_dicts(),
+        'event_counts': cluster.events.counts(),
+    }
+    if observe is not None:
+        observe.export(sim, events=cluster.events)
+    return summary
 
 
 def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
@@ -89,8 +94,8 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
                       service_ns=2 * MS, rebalance=True,
                       warmup_ns=600 * MS, measure_ns=1 * SEC,
                       faults=None, observe=None):
-    """Run one consolidation experiment and return a
-    :class:`ClusterRunResult`.
+    """Run one consolidation experiment and return its JSON-simple
+    summary dict (what the pipeline caches).
 
     ``strategy`` is the per-host hypervisor strategy (every host gets
     the same one); server guests opt into IRS when the strategy is
@@ -109,31 +114,10 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
     always recorded — it is a low-rate control-plane ledger, like the
     admission ledger — only the exports and the span probes are opt-in.
     """
-    if strategy not in ALL_STRATEGIES:
-        raise ValueError('unknown strategy %r' % strategy)
-    fault_plan = None
-    fault_name = None
-    if faults is not None:
-        if isinstance(faults, FaultPlan):
-            fault_plan = faults
-        else:
-            fault_plan = parse_fault_plan(faults)
-        fault_name = fault_plan.name if fault_plan is not None else None
-    sim = Simulator(seed=seed)
-    if observe is not None and observe.spans:
-        sim.trace.spans.enabled = True
-    specs = [HostSpec('host%d' % i, n_pcpus=host_pcpus, strategy=strategy,
-                      capacity_vcpus=capacity_vcpus)
-             for i in range(n_hosts)]
-    daemon = RebalanceDaemon() if rebalance else None
-    cluster = Cluster(sim, specs, policy=placement, rebalance=daemon,
-                      fault_plan=fault_plan)
-
-    # Hogs arrive first, staggered so each lands on live monitor data.
-    for i in range(n_hog_vms):
-        request = VmRequest('hog%d' % i, n_vcpus=hog_vcpus,
-                            workload='hogs', working_set_mb=256)
-        sim.at(10 * MS + i * 30 * MS, cluster.submit, request)
+    sim, cluster, fault_name = build_cluster(
+        strategy, placement, seed, n_hosts, host_pcpus, capacity_vcpus,
+        rebalance, faults, observe)
+    submit_hogs(sim, cluster, n_hog_vms, hog_vcpus, 30 * MS)
 
     # Servers arrive once the hogs have been profiled for a few monitor
     # windows; they opt into IRS when the hosts offer it.
@@ -160,33 +144,17 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
         merged.extend(server.latency.samples)
         throughput += server.throughput()
         dropped += server.dropped
-    counters = sim.trace.metrics.counter_values(
-        prefixes=CLUSTER_COUNTER_PREFIXES)
-    if observe is not None:
-        if observe.trace_out:
-            write_chrome_trace(observe.trace_out,
-                               spans=sim.trace.spans, now_ns=sim.now)
-        if observe.events_out:
-            cluster.events.write_jsonl(observe.events_out)
-        if observe.metrics_out:
-            write_exposition(observe.metrics_out, sim.trace.metrics)
-    return ClusterRunResult(
-        strategy=strategy,
-        placement=placement,
-        seed=seed,
-        throughput=throughput,
-        latency_summary=merged.summary(),
-        migrations=len(cluster.migration.records),
-        rejections=cluster.admission.rejected,
-        dropped=dropped,
-        placements=list(cluster.placements),
-        rebalance_trips=sim.trace.counters['cluster.rebalance_trips'],
-        faults=fault_name,
-        counters=counters,
-        recovered=cluster.recovery.replaced,
-        parked=len(cluster.recovery.parked),
-        aborted_migrations=len(cluster.migration.aborted),
-        host_crashes=sum(host.crashes for host in cluster.hosts),
-        events=cluster.events.to_dicts(),
-        event_counts=cluster.events.counts(),
-    )
+    return {
+        'strategy': strategy,
+        'placement': placement,
+        'seed': seed,
+        'throughput': throughput,
+        'latency': merged.summary(),
+        'dropped': dropped,
+        'placements': list(cluster.placements),
+        'rebalance_trips': sim.trace.counters['cluster.rebalance_trips'],
+        'recovered': cluster.recovery.replaced,
+        'parked': len(cluster.recovery.parked),
+        'aborted_migrations': len(cluster.migration.aborted),
+        **cluster_summary(sim, cluster, fault_name, observe),
+    }

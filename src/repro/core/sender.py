@@ -73,11 +73,6 @@ class SaHealthWatchdog:
             self.fallbacks += 1
             self.sim.trace.count('irs.sa_health_fallbacks')
 
-    def is_degraded(self, vm):
-        """True while ``vm`` is inside a vanilla-fallback window."""
-        until = self._degraded_until.get(vm)
-        return until is not None and self.sim.now < until
-
 
 class SaSender:
     """Hypervisor-side scheduler-activation emitter."""

@@ -36,7 +36,7 @@ from .harness import (
     run_parallel,
     run_server,
 )
-from .spec import (CLUSTER, PARALLEL, PROBE, SERVER, TRAFFIC, RunOutcome,
+from .spec import (CLUSTER, PROBE, SERVER, TRAFFIC, RunOutcome,
                    spec_from_dict)
 
 
@@ -49,6 +49,14 @@ class RunError(RuntimeError):
         super().__init__('run failed for [%s]: %s: %s'
                          % (spec.describe(), type(cause).__name__, cause))
         self.spec = spec
+
+
+def _window(spec):
+    """The spec's warmup/measure overrides as keyword arguments (unset
+    ones are left to the runner's defaults)."""
+    return {key: value for key, value in (('warmup_ns', spec.warmup_ns),
+                                          ('measure_ns', spec.measure_ns))
+            if value is not None}
 
 
 def execute_spec(spec, observe=None):
@@ -68,52 +76,32 @@ def execute_spec(spec, observe=None):
     fault_plan = parse_fault_plan(spec.faults) if spec.faults else None
     irs_config = IRSConfig(**dict(spec.irs)) if spec.irs else None
 
-    if spec.kind == CLUSTER:
-        # Lazy import: the cluster layer is optional for the classic
-        # single-machine pipeline and pulls in the whole guest stack.
-        from ..cluster.scenario import run_consolidation
-        kwargs = {}
-        if spec.warmup_ns is not None:
-            kwargs['warmup_ns'] = spec.warmup_ns
-        if spec.measure_ns is not None:
-            kwargs['measure_ns'] = spec.measure_ns
-        result = run_consolidation(
+    if spec.kind in (CLUSTER, TRAFFIC):
+        # Lazy imports: the cluster layer (and the traffic plane above
+        # it) is optional for the classic single-machine pipeline and
+        # pulls in the whole guest stack.
+        if spec.kind == CLUSTER:
+            from ..cluster.scenario import run_consolidation as run
+            kwargs = dict(arrivals_per_sec=spec.arrivals_per_sec)
+        else:
+            from ..traffic.scenario import run_traffic as run
+            kwargs = dict(
+                open_loop=spec.open_loop, arrivals=spec.arrivals,
+                rate_rps=spec.rate_rps, slo_p99_ms=spec.slo_p99_ms,
+                router=spec.router, autoscale=spec.autoscale,
+                max_replicas=spec.max_replicas,
+                queue_capacity=spec.queue_capacity)
+        summary = run(
             strategy=spec.strategy, placement=spec.placement,
             seed=spec.seed, n_hosts=spec.n_hosts, host_pcpus=spec.n_pcpus,
             capacity_vcpus=spec.capacity_vcpus, n_hog_vms=spec.n_hog_vms,
             hog_vcpus=spec.hog_vcpus, n_server_vms=spec.n_server_vms,
-            server_vcpus=spec.fg_vcpus,
-            arrivals_per_sec=spec.arrivals_per_sec,
-            rebalance=spec.rebalance, faults=spec.faults,
-            observe=observe, **kwargs)
-        return RunOutcome(spec, throughput=result.throughput,
-                          latency_summary=result.latency_summary,
-                          cluster=result.summary())
-
-    if spec.kind == TRAFFIC:
-        # Lazy import for the same reason as the cluster branch: the
-        # traffic plane sits above the cluster layer.
-        from ..traffic.scenario import run_traffic
-        kwargs = {}
-        if spec.warmup_ns is not None:
-            kwargs['warmup_ns'] = spec.warmup_ns
-        if spec.measure_ns is not None:
-            kwargs['measure_ns'] = spec.measure_ns
-        result = run_traffic(
-            strategy=spec.strategy, placement=spec.placement,
-            seed=spec.seed, open_loop=spec.open_loop,
-            arrivals=spec.arrivals, rate_rps=spec.rate_rps,
-            slo_p99_ms=spec.slo_p99_ms, router=spec.router,
-            autoscale=spec.autoscale, max_replicas=spec.max_replicas,
-            n_hosts=spec.n_hosts, host_pcpus=spec.n_pcpus,
-            capacity_vcpus=spec.capacity_vcpus, n_hog_vms=spec.n_hog_vms,
-            hog_vcpus=spec.hog_vcpus, n_server_vms=spec.n_server_vms,
-            server_vcpus=spec.fg_vcpus, queue_capacity=spec.queue_capacity,
-            rebalance=spec.rebalance, faults=spec.faults,
-            observe=observe, **kwargs)
-        return RunOutcome(spec, throughput=result.throughput,
-                          latency_summary=result.latency_summary,
-                          cluster=result.summary())
+            server_vcpus=spec.fg_vcpus, rebalance=spec.rebalance,
+            faults=spec.faults, observe=observe, **kwargs,
+            **_window(spec))
+        return RunOutcome(spec, throughput=summary['throughput'],
+                          latency_summary=summary['latency'],
+                          cluster=summary)
 
     if spec.kind == PROBE:
         kind, width, n_vms = spec.interference
@@ -122,16 +110,11 @@ def execute_spec(spec, observe=None):
         return RunOutcome(spec, probe_latency_ns=latency)
 
     if spec.kind == SERVER:
-        kwargs = {}
-        if spec.warmup_ns is not None:
-            kwargs['warmup_ns'] = spec.warmup_ns
-        if spec.measure_ns is not None:
-            kwargs['measure_ns'] = spec.measure_ns
         result = run_server(spec.app, spec.strategy,
                             n_hogs=spec.interference[1], seed=spec.seed,
                             n_pcpus=spec.n_pcpus, fg_vcpus=spec.fg_vcpus,
                             irs_config=irs_config, fault_plan=fault_plan,
-                            observe=observe, **kwargs)
+                            observe=observe, **_window(spec))
         return RunOutcome(spec, throughput=result.throughput,
                           latency_summary=result.latency_summary,
                           metrics=result.metrics)

@@ -36,10 +36,10 @@ class ObservabilityConfig:
     :class:`~repro.metrics.TimelineRecorder` sampling every
     ``timeline_period_ns``.
 
-    Cluster runs additionally honour ``events_out`` (the structured
-    health event log as JSONL) and ``metrics_out`` (a Prometheus-style
-    text exposition snapshot of the run's metric registry); both are
-    rewritten per run like ``trace_out``.
+    ``metrics_out`` names a Prometheus-style text exposition snapshot
+    of the run's metric registry; cluster runs also honour
+    ``events_out`` (the structured health event log as JSONL). Both
+    are rewritten per run like ``trace_out``.
     """
 
     def __init__(self, trace_out=None, spans=True, timeline=True,
@@ -52,59 +52,51 @@ class ObservabilityConfig:
         self.events_out = events_out
         self.metrics_out = metrics_out
 
-
-class _ObsSession:
-    """One run's armed observability: stops sampling and exports."""
-
-    def __init__(self, config, scenario, timeline):
-        self.config = config
-        self.scenario = scenario
-        self.timeline = timeline
-
-    def finish(self):
-        if self.timeline is not None:
-            self.timeline.stop()
-        if self.config.trace_out:
-            write_chrome_trace(self.config.trace_out,
-                               machine=self.scenario.machine,
-                               timeline=self.timeline,
-                               spans=self.scenario.sim.trace.spans,
-                               now_ns=self.scenario.sim.now)
-        if self.config.metrics_out:
-            write_exposition(self.config.metrics_out,
-                             self.scenario.sim.trace.metrics)
+    def export(self, sim, machine=None, timeline=None, events=None):
+        """End one run's capture: stop ``timeline`` and write whichever
+        of the trace, the JSONL ``events`` log and the exposition this
+        config names."""
+        if timeline is not None:
+            timeline.stop()
+        if self.trace_out:
+            write_chrome_trace(self.trace_out, machine=machine,
+                               timeline=timeline, spans=sim.trace.spans,
+                               now_ns=sim.now)
+        if self.events_out and events is not None:
+            events.write_jsonl(self.events_out)
+        if self.metrics_out:
+            write_exposition(self.metrics_out, sim.trace.metrics)
 
 
-def _arm_observability(scenario, observe):
-    """Enable span probes / timeline sampling on a fresh scenario.
-    ``observe`` may be an :class:`ObservabilityConfig`, True (defaults),
-    or None (off)."""
-    if observe is None:
-        return None
-    config = ObservabilityConfig() if observe is True else observe
-    if config.spans:
-        scenario.sim.trace.spans.enabled = True
-    timeline = None
-    if config.timeline:
-        timeline = TimelineRecorder(
-            scenario.sim, scenario.machine,
-            period_ns=config.timeline_period_ns).start()
-    return _ObsSession(config, scenario, timeline)
+def _wire(scenario, strategy, irs_config, fault_plan, observe):
+    """Wire a freshly built scenario for one run, in a fixed order:
+    observability first (the timeline's ``start()`` schedules an
+    event), then ``fault_plan`` (None = reliable machine), then the
+    strategy. Returns ``(config, timeline)``; ``config`` is None when
+    ``observe`` is None, and the defaults when it is True.
 
-
-def _arm_faults(scenario, fault_plan, strategy, irs_config):
-    """Attach ``fault_plan`` (None = reliable machine) to a freshly
-    built scenario. Returns the effective ``irs_config`` — when a
-    campaign is active and the caller did not pin an IRS config, the
-    graceful-degradation defenses are switched on, since measuring an
-    unreliable channel with the defenses off is an ablation, not the
+    When a campaign is active and the caller did not pin an IRS config,
+    the graceful-degradation defenses are switched on, since measuring
+    an unreliable channel with the defenses off is an ablation, not the
     default."""
-    if fault_plan is None:
-        return irs_config
-    fault_plan.build(scenario.sim).attach(scenario.machine)
-    if irs_config is None and strategy in (IRS, DELAY_PREEMPT):
-        irs_config = IRSConfig(degradation_enabled=True)
-    return irs_config
+    config = ObservabilityConfig() if observe is True else observe
+    timeline = None
+    if config is not None:
+        if config.spans:
+            scenario.sim.trace.spans.enabled = True
+        if config.timeline:
+            timeline = TimelineRecorder(
+                scenario.sim, scenario.machine,
+                period_ns=config.timeline_period_ns).start()
+    uses_irs = strategy in (IRS, DELAY_PREEMPT)
+    if fault_plan is not None:
+        fault_plan.build(scenario.sim).attach(scenario.machine)
+        if irs_config is None and uses_irs:
+            irs_config = IRSConfig(degradation_enabled=True)
+    apply_strategy(scenario.machine, strategy,
+                   irs_kernels=[scenario.fg_kernel] if uses_irs else (),
+                   irs_config=irs_config)
+    return config, timeline
 
 
 class ParallelRunResult:
@@ -149,12 +141,8 @@ def run_parallel(app, strategy='vanilla', interference=NO_INTERFERENCE,
     scenario = build_scenario(seed=seed, n_pcpus=n_pcpus, fg_vcpus=fg_vcpus,
                               interference=interference, pinned=pinned,
                               scale=scale)
-    obs = _arm_observability(scenario, observe)
-    irs_config = _arm_faults(scenario, fault_plan, strategy, irs_config)
-    irs_kernels = ([scenario.fg_kernel]
-                   if strategy in (IRS, DELAY_PREEMPT) else ())
-    apply_strategy(scenario.machine, strategy, irs_kernels=irs_kernels,
-                   irs_config=irs_config)
+    config, timeline = _wire(scenario, strategy, irs_config, fault_plan,
+                             observe)
     if profile is None:
         profile = get_profile(app)
     workload = ParallelWorkload(scenario.sim, scenario.fg_kernel, profile,
@@ -176,11 +164,10 @@ def run_parallel(app, strategy='vanilla', interference=NO_INTERFERENCE,
     bg_rates = [bg.progress_rate() for bg in scenario.bg_workloads
                 if isinstance(bg, ParallelWorkload)]
     metrics = RunMetrics(scenario.machine, scenario.all_kernels, elapsed)
-    if obs is not None:
-        obs.finish()
+    if config is not None:
+        config.export(sim, machine=scenario.machine, timeline=timeline)
     return ParallelRunResult(app, strategy, makespan, utilization, bg_rates,
-                             metrics, workload, scenario,
-                             timeline=obs.timeline if obs else None)
+                             metrics, workload, scenario, timeline=timeline)
 
 
 class ServerRunResult:
@@ -211,12 +198,8 @@ def run_server(kind, strategy='vanilla', n_hogs=1, seed=0, n_pcpus=4,
                     else NO_INTERFERENCE)
     scenario = build_scenario(seed=seed, n_pcpus=n_pcpus,
                               fg_vcpus=fg_vcpus, interference=interference)
-    obs = _arm_observability(scenario, observe)
-    irs_config = _arm_faults(scenario, fault_plan, strategy, irs_config)
-    irs_kernels = ([scenario.fg_kernel]
-                   if strategy in (IRS, DELAY_PREEMPT) else ())
-    apply_strategy(scenario.machine, strategy, irs_kernels=irs_kernels,
-                   irs_config=irs_config)
+    config, timeline = _wire(scenario, strategy, irs_config, fault_plan,
+                             observe)
     if kind == 'specjbb':
         server = SpecJbbWorkload(scenario.sim, scenario.fg_kernel,
                                  **server_kwargs)
@@ -236,11 +219,11 @@ def run_server(kind, strategy='vanilla', n_hogs=1, seed=0, n_pcpus=4,
     sim.run_until(sim.now + measure_ns)
 
     metrics = RunMetrics(scenario.machine, scenario.all_kernels, measure_ns)
-    if obs is not None:
-        obs.finish()
+    if config is not None:
+        config.export(sim, machine=scenario.machine, timeline=timeline)
     return ServerRunResult(kind, strategy, server.throughput(),
                            server.latency.summary(), metrics,
-                           timeline=obs.timeline if obs else None)
+                           timeline=timeline)
 
 
 def run_migration_probe(n_inter_vms, seed=0, warmup_ns=None,

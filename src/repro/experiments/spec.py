@@ -359,8 +359,8 @@ class RunOutcome:
         self.probe_latency_ns = probe_latency_ns
         self.sa_delay_ns = tuple(sa_delay_ns)
         self.metrics = metrics
-        # Cluster runs: the ClusterRunResult.summary() dict (placements,
-        # migration/rejection counts, merged latency).
+        # Cluster and traffic runs: the summary dict the run returned
+        # (placements, migration/rejection counts, merged latency).
         self.cluster = cluster
 
     @property
@@ -376,7 +376,7 @@ class RunOutcome:
         return self.makespan_ns is not None
 
     def __repr__(self):
-        if self.spec.kind in (SERVER, CLUSTER):
+        if self.spec.kind in (SERVER, CLUSTER, TRAFFIC):
             detail = '%.0f req/s' % (self.throughput or 0.0)
         elif self.spec.kind == PROBE:
             detail = ('%.1fms' % (self.probe_latency_ns / MS)

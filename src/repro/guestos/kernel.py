@@ -326,15 +326,3 @@ class GuestKernel:
         self.sim.trace.count('irs.migrations')
         return self.wake_task(task, target=target_gcpu,
                               preempt_in_place=preempt_in_place)
-
-    def total_busy_ns(self):
-        """CPU time consumed by this VM's tasks (open stints included)."""
-        total = 0
-        for gcpu in self.gcpus:
-            total += gcpu.busy_ns
-            if gcpu.current is not None and gcpu.run_started_at is not None:
-                total += self.sim.now - gcpu.run_started_at
-        return total
-
-    def live_tasks(self):
-        return [t for t in self.tasks if t.state != TASK_EXITED]

@@ -13,7 +13,7 @@ processing, it is the guest's acknowledgement (Algorithm 1 line 15) and
 completes the deferred context switch.
 """
 
-from .vcpu import RUNSTATE_BLOCKED, RUNSTATE_RUNNABLE, RUNSTATE_RUNNING
+from .vcpu import RUNSTATE_RUNNABLE, RUNSTATE_RUNNING
 
 SCHEDOP_BLOCK = 'SCHEDOP_block'
 SCHEDOP_YIELD = 'SCHEDOP_yield'
@@ -64,10 +64,6 @@ class HypercallInterface:
     def vcpu_is_preempted(self, vcpu):
         """Convenience predicate: runnable-but-not-running."""
         return vcpu.runstate == RUNSTATE_RUNNABLE
-
-    def vcpu_is_idle_at_hypervisor(self, vcpu):
-        """Convenience predicate used by the migrator's IDLE check."""
-        return vcpu.runstate == RUNSTATE_BLOCKED
 
     def vcpu_is_running(self, vcpu):
         return vcpu.runstate == RUNSTATE_RUNNING

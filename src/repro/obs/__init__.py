@@ -57,7 +57,6 @@ from .phases import (
 from .report import (
     drop_warnings,
     explain_empty,
-    format_text_report,
     phase_summaries,
     sa_latency_rows,
 )
@@ -87,7 +86,6 @@ __all__ = [
     'drop_warnings',
     'explain_empty',
     'format_residency',
-    'format_text_report',
     'load_chrome_trace',
     'phase_summaries',
     'read_jsonl',

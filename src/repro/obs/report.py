@@ -95,30 +95,12 @@ def drop_warnings(counts):
             for name, what in DROP_COUNTERS if counts.get(name, 0) > 0]
 
 
-def format_text_report(registry, title='SA-protocol latency'):
-    """Minimal aligned text rendering (for quick printing without the
-    experiments reporting layer)."""
-    headers, rows, __ = sa_latency_rows(registry)
-    if not rows:
-        return '%s: (no samples)' % title
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [title, '-' * len(title),
-             '  '.join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append('  '.join(c.ljust(w) for c, w in zip(row, widths)))
-    return '\n'.join(lines)
-
-
 __all__ = [
     'DROP_COUNTERS',
     'MetricsRegistry',
     'SA_LATENCY_HEADERS',
     'drop_warnings',
     'explain_empty',
-    'format_text_report',
     'phase_summaries',
     'sa_latency_rows',
 ]

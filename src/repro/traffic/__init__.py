@@ -33,8 +33,8 @@ from .arrivals import (
 )
 from .autoscaler import SloAutoscaler
 from .router import ROUTER_POLICIES, RequestRouter
-from .scenario import TrafficRunResult, TrafficService, run_traffic
-from .serving import OpenLoopServerWorkload, ReplicaServer
+from .scenario import TrafficService, run_traffic
+from .serving import ReplicaServer
 from .slo import SloPolicy, SloTracker
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     'ArrivalProcess',
     'BurstyArrivals',
     'DiurnalArrivals',
-    'OpenLoopServerWorkload',
     'PoissonArrivals',
     'ROUTER_POLICIES',
     'ReplicaServer',
@@ -50,7 +49,6 @@ __all__ = [
     'SloAutoscaler',
     'SloPolicy',
     'SloTracker',
-    'TrafficRunResult',
     'TrafficService',
     'make_arrivals',
     'run_traffic',

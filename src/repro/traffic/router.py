@@ -57,11 +57,6 @@ class RequestRouter:
         self.replicas.append(replica)
         self.replicas.sort(key=lambda r: r.name)
 
-    def remove_replica(self, replica):
-        if replica in self.replicas:
-            self.replicas.remove(replica)
-        self._known_routable.discard(replica.name)
-
     def is_routable(self, replica):
         """In rotation: live and resident on some host. ``host_of``
         returns None both mid-migration and after a host crash, so

@@ -17,23 +17,17 @@ measurements let interference hide in the throttled offered load,
 open-loop measurements surface it as queueing delay and SLO burn.
 """
 
-from ..faults import FaultPlan, parse_fault_plan
 from ..metrics import LatencyRecorder
-from ..obs.exporters import write_chrome_trace
-from ..obs.exposition import write_exposition
-from ..simkernel import Simulator
 from ..simkernel.units import MS, SEC
-from ..cluster.cluster import (Cluster, RebalanceDaemon, VmRequest,
-                               WORKLOAD_NONE)
-from ..cluster.host import HostSpec
-from ..experiments.strategies import ALL_STRATEGIES
+from ..cluster.cluster import VmRequest, WORKLOAD_NONE
+from ..cluster.scenario import build_cluster, cluster_summary, submit_hogs
 from .arrivals import make_arrivals
 from .autoscaler import SloAutoscaler
 from .router import RequestRouter
 from .serving import ReplicaServer
 from .slo import SloPolicy, SloTracker
 
-# Counter prefixes surfaced in TrafficRunResult.counters: the
+# Counter prefixes surfaced in a traffic run's ``counters``: the
 # cluster/fault ledger, the traffic plane's own counters (sheds,
 # reroutes, scale actions) and the span ring's drop count.
 TRAFFIC_COUNTER_PREFIXES = ('cluster.', 'faults.', 'traffic.',
@@ -179,73 +173,6 @@ class TrafficService:
         return sum(r.completed for r in self.replicas)
 
 
-class TrafficRunResult:
-    """Everything the ``traffic-slo`` figure needs from one run."""
-
-    def __init__(self, strategy, placement, seed, open_loop, arrivals,
-                 rate_rps, router, throughput, latency_summary,
-                 queue_wait_summary, slo, injected, completed, shed,
-                 unroutable, replicas, autoscaler=None, migrations=0,
-                 rejections=0, rejections_dropped=0, faults=None,
-                 counters=None, host_crashes=0, events=None,
-                 event_counts=None):
-        self.strategy = strategy
-        self.placement = placement
-        self.seed = seed
-        self.open_loop = open_loop
-        self.arrivals = arrivals
-        self.rate_rps = rate_rps
-        self.router = router
-        self.throughput = throughput
-        self.latency_summary = latency_summary
-        self.queue_wait_summary = queue_wait_summary
-        self.slo = slo
-        self.injected = injected
-        self.completed = completed
-        self.shed = shed
-        self.unroutable = unroutable
-        self.replicas = replicas
-        self.autoscaler = autoscaler
-        self.migrations = migrations
-        self.rejections = rejections
-        self.rejections_dropped = rejections_dropped
-        self.faults = faults
-        self.counters = dict(counters or {})
-        self.host_crashes = host_crashes
-        self.events = list(events or [])
-        self.event_counts = dict(event_counts or {})
-
-    def summary(self):
-        """JSON-simple dict (what the pipeline caches)."""
-        return {
-            'strategy': self.strategy,
-            'placement': self.placement,
-            'seed': self.seed,
-            'open_loop': self.open_loop,
-            'arrivals': self.arrivals,
-            'rate_rps': self.rate_rps,
-            'router': self.router,
-            'throughput': self.throughput,
-            'latency': self.latency_summary,
-            'queue_wait': self.queue_wait_summary,
-            'slo': self.slo,
-            'injected': self.injected,
-            'completed': self.completed,
-            'shed': self.shed,
-            'unroutable': self.unroutable,
-            'replicas': self.replicas,
-            'autoscaler': self.autoscaler,
-            'migrations': self.migrations,
-            'rejections': self.rejections,
-            'rejections_dropped': self.rejections_dropped,
-            'faults': self.faults,
-            'counters': self.counters,
-            'host_crashes': self.host_crashes,
-            'events': self.events,
-            'event_counts': self.event_counts,
-        }
-
-
 def _closed_loop_slo(merged, policy):
     """Shape a closed-loop run's latency samples like a tracker
     summary so both figure modes read the same keys. No dispatcher
@@ -274,8 +201,8 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
                 n_server_vms=4, server_vcpus=4, service_ns=2 * MS,
                 queue_capacity=256, rebalance=True, warmup_ns=600 * MS,
                 measure_ns=1 * SEC, faults=None, observe=None):
-    """Run one open-loop serving experiment and return a
-    :class:`TrafficRunResult`.
+    """Run one open-loop serving experiment and return its JSON-simple
+    summary dict (what the pipeline caches).
 
     Topology: a consolidated cluster where every host already runs a
     batch hog tenant when its serving replica lands — hog and replica
@@ -296,31 +223,13 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
     ``autoscale=True`` arms the :class:`SloAutoscaler` with the
     baseline fleet as its floor and ``max_replicas`` as its ceiling.
     """
-    if strategy not in ALL_STRATEGIES:
-        raise ValueError('unknown strategy %r' % strategy)
-    fault_plan = None
-    fault_name = None
-    if faults is not None:
-        fault_plan = (faults if isinstance(faults, FaultPlan)
-                      else parse_fault_plan(faults))
-        fault_name = fault_plan.name if fault_plan is not None else None
-    sim = Simulator(seed=seed)
-    if observe is not None and observe.spans:
-        sim.trace.spans.enabled = True
-    specs = [HostSpec('host%d' % i, n_pcpus=host_pcpus, strategy=strategy,
-                      capacity_vcpus=capacity_vcpus)
-             for i in range(n_hosts)]
-    daemon = RebalanceDaemon() if rebalance else None
-    cluster = Cluster(sim, specs, policy=placement, rebalance=daemon,
-                      fault_plan=fault_plan)
-
+    sim, cluster, fault_name = build_cluster(
+        strategy, placement, seed, n_hosts, host_pcpus, capacity_vcpus,
+        rebalance, faults, observe)
     # Interleaved arrival: each hog lands just before its replica, so
     # first-fit pairs them on the same (capacity-limited) host and the
     # fleet shares every host with a batch tenant.
-    for i in range(n_hog_vms):
-        request = VmRequest('hog%d' % i, n_vcpus=hog_vcpus,
-                            workload='hogs', working_set_mb=256)
-        sim.at(10 * MS + i * 40 * MS, cluster.submit, request)
+    submit_hogs(sim, cluster, n_hog_vms, hog_vcpus, 40 * MS)
 
     is_irs = strategy == 'irs'
     server_t0 = 30 * MS
@@ -398,40 +307,26 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
         shed = unroutable = 0
         n_replicas = len(closed_workloads)
 
-    counters = sim.trace.metrics.counter_values(
-        prefixes=TRAFFIC_COUNTER_PREFIXES)
-    if observe is not None:
-        if observe.trace_out:
-            write_chrome_trace(observe.trace_out,
-                               spans=sim.trace.spans, now_ns=sim.now)
-        if observe.events_out:
-            cluster.events.write_jsonl(observe.events_out)
-        if observe.metrics_out:
-            write_exposition(observe.metrics_out, sim.trace.metrics)
-    return TrafficRunResult(
-        strategy=strategy,
-        placement=placement,
-        seed=seed,
-        open_loop=open_loop,
-        arrivals=getattr(arrivals, 'kind', arrivals),
-        rate_rps=rate_rps,
-        router=router if open_loop else None,
-        throughput=throughput,
-        latency_summary=merged.summary(),
-        queue_wait_summary=queue_wait.summary(),
-        slo=slo_summary,
-        injected=injected,
-        completed=completed,
-        shed=shed,
-        unroutable=unroutable,
-        replicas=n_replicas,
-        autoscaler=autoscaler.summary() if autoscaler is not None else None,
-        migrations=len(cluster.migration.records),
-        rejections=cluster.admission.rejected,
-        rejections_dropped=cluster.admission.rejections_dropped,
-        faults=fault_name,
-        counters=counters,
-        host_crashes=sum(host.crashes for host in cluster.hosts),
-        events=cluster.events.to_dicts(),
-        event_counts=cluster.events.counts(),
-    )
+    return {
+        'strategy': strategy,
+        'placement': placement,
+        'seed': seed,
+        'open_loop': open_loop,
+        'arrivals': getattr(arrivals, 'kind', arrivals),
+        'rate_rps': rate_rps,
+        'router': router if open_loop else None,
+        'throughput': throughput,
+        'latency': merged.summary(),
+        'queue_wait': queue_wait.summary(),
+        'slo': slo_summary,
+        'injected': injected,
+        'completed': completed,
+        'shed': shed,
+        'unroutable': unroutable,
+        'replicas': n_replicas,
+        'autoscaler': (autoscaler.summary() if autoscaler is not None
+                       else None),
+        'rejections_dropped': cluster.admission.rejections_dropped,
+        **cluster_summary(sim, cluster, fault_name, observe,
+                          prefixes=TRAFFIC_COUNTER_PREFIXES),
+    }

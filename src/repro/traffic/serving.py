@@ -10,12 +10,8 @@ Queueing delay and end-to-end latency are recorded *separately*
 (:class:`~repro.metrics.latency.LatencyRecorder` each, plus the
 log-bucketed ``req.queue`` / ``req.service`` histograms in the typed
 registry): interference inflates the queueing component first, which is
-exactly what the closed-loop workloads cannot show.
-
-:class:`OpenLoopServerWorkload` is the single-VM assembly — one arrival
-process driving one replica — used by tests and standalone runs; the
-cluster-level assembly (router + many replicas) lives in
-:mod:`repro.traffic.scenario`.
+exactly what the closed-loop workloads cannot show. The cluster-level
+assembly (router + many replicas) lives in :mod:`repro.traffic.scenario`.
 """
 
 from ..metrics.latency import LatencyRecorder
@@ -24,7 +20,6 @@ from ..obs.phases import PHASE_REQ_QUEUE, PHASE_REQ_SERVICE
 from ..simkernel.units import MS, SEC
 from ..workloads.actions import Compute, QueueGet
 from ..workloads.sync import BoundedQueue
-from .arrivals import PoissonArrivals
 
 
 class ReplicaServer:
@@ -179,59 +174,3 @@ class ReplicaServer:
             self.name, self.queue_depth, self.completed, self.shed,
             ' retired' if self.retired else '')
 
-
-class OpenLoopServerWorkload:
-    """Single-VM open-loop serving: one arrival process, one replica.
-
-    The dispatcher is a sim-level timer chain, not a guest task — the
-    arrival clock never competes with the workers for a vCPU, unlike
-    the guest-resident arrival loop in
-    :class:`repro.workloads.server.OpenLoopServerWorkload` (kept for
-    the cluster's built-in ``'server'`` VM workload).
-    """
-
-    def __init__(self, sim, kernel, arrivals=None, rate_rps=800,
-                 name='openloop', slo=None, events=None,
-                 **replica_kwargs):
-        self.sim = sim
-        self.arrivals = arrivals or PoissonArrivals(
-            rate_rps, stream='traffic.%s' % name)
-        self.replica = ReplicaServer(sim, kernel, name=name, slo=slo,
-                                     events=events, **replica_kwargs)
-        self.injected = 0
-        self._gaps = None
-
-    def install(self):
-        self.replica.install()
-        self._gaps = self.arrivals.gaps(self.sim.rng)
-        self.sim.after(next(self._gaps), self._arrive)
-        return self
-
-    def _arrive(self):
-        self.injected += 1
-        self.replica.enqueue(self.sim.now)
-        self.sim.after(next(self._gaps), self._arrive)
-
-    # Convenience pass-throughs (tests read these off the workload).
-    @property
-    def latency(self):
-        return self.replica.latency
-
-    @property
-    def queue_wait(self):
-        return self.replica.queue_wait
-
-    @property
-    def completed(self):
-        return self.replica.completed
-
-    @property
-    def shed(self):
-        return self.replica.shed
-
-    def throughput(self, now=None):
-        return self.replica.throughput(now)
-
-    def reset_measurement(self):
-        self.injected = 0
-        self.replica.reset_measurement()

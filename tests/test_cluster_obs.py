@@ -84,7 +84,7 @@ class TestScopedHostMetrics:
         # The scoped monitor gauges are per-run state, but the event
         # log records every control-plane decision with its host; the
         # same chaos run must involve more than one host.
-        hosts = {e['host'] for e in result.events
+        hosts = {e['host'] for e in result['events']
                  if e['kind'] == EVENT_PLACE}
         assert len(hosts) > 1
 
@@ -92,13 +92,13 @@ class TestScopedHostMetrics:
 class TestHealthEventLog:
     def test_event_log_always_on(self):
         result = _chaos_run()
-        assert result.events, 'no events recorded without observe='
-        assert result.event_counts.get(EVENT_PLACE, 0) > 0
-        assert result.event_counts.get(EVENT_HOST_CRASH, 0) > 0
+        assert result['events'], 'no events recorded without observe='
+        assert result['event_counts'].get(EVENT_PLACE, 0) > 0
+        assert result['event_counts'].get(EVENT_HOST_CRASH, 0) > 0
 
     def test_place_events_carry_policy_scores(self):
         result = _chaos_run()
-        place = next(e for e in result.events
+        place = next(e for e in result['events']
                      if e['kind'] == EVENT_PLACE)
         assert place['policy'] == 'first_fit'
         assert isinstance(place['scores'], dict)
@@ -106,7 +106,7 @@ class TestHealthEventLog:
 
     def test_migration_events_carry_flow_ids(self):
         result = _chaos_run()
-        starts = [e for e in result.events
+        starts = [e for e in result['events']
                   if e['kind'] == EVENT_MIGRATION_START]
         assert starts
         flows = [e['flow'] for e in starts]
@@ -126,20 +126,20 @@ class TestHealthEventLog:
         assert first, 'export produced an empty log'
 
     def test_summary_is_deterministic(self):
-        one = _chaos_run().summary()
-        two = _chaos_run().summary()
+        one = _chaos_run()
+        two = _chaos_run()
         assert (json.dumps(one, sort_keys=True)
                 == json.dumps(two, sort_keys=True))
 
     def test_drop_counters_surface_in_summary(self, monkeypatch):
         observe = ObservabilityConfig(spans=True, timeline=False)
-        quiet = _chaos_run(observe=observe).summary()
+        quiet = _chaos_run(observe=observe)
         assert 'spans.dropped' not in quiet['counters']
         assert drop_warnings(quiet['counters']) == []
         # Shrink every span ring so the same run saturates it.
         monkeypatch.setattr(tracing, 'SpanRecorder',
                             functools.partial(SpanRecorder, max_spans=4))
-        saturated = _chaos_run(observe=observe).summary()
+        saturated = _chaos_run(observe=observe)
         dropped = saturated['counters']['spans.dropped']
         assert dropped > 0
         assert len(drop_warnings(saturated['counters'])) == 1
@@ -156,7 +156,7 @@ class TestResidencyReconstruction:
         path = tmp_path / 'events.jsonl'
         result = _chaos_run(observe=ObservabilityConfig(
             spans=False, events_out=str(path)))
-        assert result.event_counts.get(EVENT_HOST_CRASH, 0) > 0
+        assert result['event_counts'].get(EVENT_HOST_CRASH, 0) > 0
         events = read_jsonl(str(path))
 
         recovered_vms = [e['vm'] for e in events
@@ -176,16 +176,16 @@ class TestResidencyReconstruction:
 
     def test_every_vm_is_accounted_for(self):
         result = _chaos_run()
-        submitted = {e['vm'] for e in result.events
+        submitted = {e['vm'] for e in result['events']
                      if e['kind'] in (EVENT_PLACE, 'vm.reject')}
-        assert submitted == set(vm_names(result.events))
+        assert submitted == set(vm_names(result['events']))
 
     def test_orphan_recovery_shares_flow_with_events(self):
         result = _chaos_run()
-        orphaned = [e for e in result.events
+        orphaned = [e for e in result['events']
                     if e['kind'] == EVENT_ORPHANED
                     and e.get('flow') is not None]
-        recovered = [e for e in result.events
+        recovered = [e for e in result['events']
                      if e['kind'] == EVENT_RECOVERED
                      and e.get('flow') is not None]
         assert orphaned
@@ -226,5 +226,5 @@ class TestClusterTraceExport:
     def test_spans_do_not_perturb_the_summary(self):
         base = _chaos_run()
         observed = _chaos_run(observe=ObservabilityConfig(timeline=False))
-        assert (json.dumps(base.summary(), sort_keys=True)
-                == json.dumps(observed.summary(), sort_keys=True))
+        assert (json.dumps(base, sort_keys=True)
+                == json.dumps(observed, sort_keys=True))

@@ -44,12 +44,12 @@ class TestExpositionCarriesEveryCounter:
             faults='cluster-chaos',
             observe=ObservabilityConfig(spans=False, metrics_out=str(path)))
         lines = _exported_lines(path)
-        crashes = result.counters['cluster.host_crashes']
-        injected = result.counters['faults.injected']
+        crashes = result['counters']['cluster.host_crashes']
+        injected = result['counters']['faults.injected']
         assert crashes > 0 and injected > 0
         assert 'repro_cluster_host_crashes_total %d' % crashes in lines
         assert 'repro_faults_injected_total %d' % injected in lines
-        for name, value in result.counters.items():
+        for name, value in result['counters'].items():
             assert 'repro_%s_total %d' % (name.replace('.', '_'),
                                           value) in lines
         _assert_keeps_golden(lines, 'cluster_chaos_seed0.prom')

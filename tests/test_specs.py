@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.experiments import SpecError, parse_spec, run_spec, run_spec_file
+from repro.experiments import (RunOutcome, SpecError, cluster_spec,
+                               parse_spec, run_spec, run_spec_file,
+                               traffic_spec)
 
 
 BASE = {
@@ -80,3 +82,10 @@ class TestExecution:
         irs = results[0][1].makespan_ns
         vanilla = results[1][1].makespan_ns
         assert irs < vanilla
+
+
+class TestOutcomeRepr:
+    @pytest.mark.parametrize('make_spec', [cluster_spec, traffic_spec])
+    def test_served_runs_show_throughput(self, make_spec):
+        outcome = RunOutcome(make_spec(), throughput=3990.0)
+        assert repr(outcome).endswith(' 3990 req/s>')
