@@ -121,13 +121,14 @@ class HypervisorBalancer:
             # strict improvement needs a gap of 2.
             if pcpu.load - idlest.load < 2 or idlest is pcpu:
                 continue
-            self.machine.sim.trace.count('hv.repicks')
             scheduler = self.machine.scheduler
-            scheduler.force_yield(vcpu)       # now queued on `pcpu`
-            if vcpu in pcpu.runq:
-                pcpu.remove_vcpu(vcpu)
-                idlest.insert_vcpu(vcpu)
-                scheduler._tickle(idlest)
+            scheduler.force_yield(vcpu)
+            if vcpu not in pcpu.runq:
+                return 0       # re-picked where it ran: the attempt is spent
+            self.machine.sim.trace.count('hv.repicks')
+            pcpu.remove_vcpu(vcpu)
+            idlest.insert_vcpu(vcpu)
+            scheduler._tickle(idlest)
             return 1
         return 0
 

@@ -27,6 +27,7 @@ from .vcpu import (
     PRI_OVER,
     PRI_UNDER,
     RUNSTATE_BLOCKED,
+    RUNSTATE_OFFLINE,
     RUNSTATE_RUNNABLE,
     RUNSTATE_RUNNING,
 )
@@ -85,15 +86,12 @@ class CreditScheduler:
         migration pause path). The caller must have resolved any
         outstanding SA offer first; a running vCPU's pCPU is
         backfilled so no queued work is stranded."""
-        from .vcpu import RUNSTATE_OFFLINE
         pcpu = vcpu.pcpu
         if vcpu.is_running:
             # Cancel a parked context switch: the vCPU is leaving the
             # host, so the deferred preemption resolves trivially.
             pcpu.preempt_deferred = False
-            self._stop_current(pcpu, RUNSTATE_BLOCKED)
-            vcpu.set_runstate(RUNSTATE_OFFLINE, self.sim.now)
-            self._schedule(pcpu)
+            self._switch(pcpu, RUNSTATE_OFFLINE)
         elif vcpu.is_runnable:
             pcpu.remove_vcpu(vcpu)
             vcpu.set_runstate(RUNSTATE_OFFLINE, self.sim.now)
@@ -130,30 +128,20 @@ class CreditScheduler:
 
     def sched_op_block(self, vcpu):
         """Guest hypercall: the vCPU has nothing to run (idle)."""
-        self._deschedule_running(vcpu, RUNSTATE_BLOCKED)
+        if vcpu.is_running:
+            self._switch(vcpu.pcpu, RUNSTATE_BLOCKED)
 
     def sched_op_yield(self, vcpu):
         """Guest hypercall: yield the pCPU but stay runnable."""
-        self._deschedule_running(vcpu, RUNSTATE_RUNNABLE)
+        if vcpu.is_running:
+            self._switch(vcpu.pcpu, RUNSTATE_RUNNABLE)
 
     def force_yield(self, vcpu):
         """Hypervisor-initiated directed yield (PLE / relaxed-co). Does
         NOT go through the SA path: these are strategy actions, not
         credit-scheduler preemptions."""
-        # _deschedule_running(vcpu, RUNSTATE_RUNNABLE), inlined: this is
-        # the PLE exit's hot path.
-        if not vcpu.is_running:
-            return
-        pcpu = vcpu.pcpu
-        self._stop_current(pcpu, RUNSTATE_RUNNABLE)
-        self._schedule(pcpu)
-
-    def _deschedule_running(self, vcpu, new_state):
-        if not vcpu.is_running:
-            return
-        pcpu = vcpu.pcpu
-        self._stop_current(pcpu, new_state)
-        self._schedule(pcpu)
+        if vcpu.is_running:
+            self._switch(vcpu.pcpu, RUNSTATE_RUNNABLE)
 
     # ------------------------------------------------------------------
     # Periodic machinery
@@ -260,8 +248,7 @@ class CreditScheduler:
         if sender is not None and sender.offer_preemption(current):
             pcpu.preempt_deferred = True
             return
-        self._stop_current(pcpu, RUNSTATE_RUNNABLE)
-        self._schedule(pcpu)
+        self._switch(pcpu, RUNSTATE_RUNNABLE)
 
     def retry_preemption(self, pcpu):
         """Re-attempt a preemption parked by delay-preemption. Only
@@ -287,59 +274,79 @@ class CreditScheduler:
         if spans.enabled:
             spans.instant(self.sim.now, PHASE_PREEMPT_FIRE, vcpu.name,
                           block=block)
-        new_state = RUNSTATE_BLOCKED if block else RUNSTATE_RUNNABLE
-        self._stop_current(pcpu, new_state)
-        self._schedule(pcpu)
+        self._switch(pcpu, RUNSTATE_BLOCKED if block else RUNSTATE_RUNNABLE)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _stop_current(self, pcpu, new_state):
-        """Deschedule ``pcpu.current`` into ``new_state``."""
-        vcpu = pcpu.current
+    def _switch(self, pcpu, new_state):
+        """Deschedule ``pcpu.current`` into ``new_state`` and dispatch
+        the next vCPU. The pick comes first: a yielding vCPU that would
+        win its own pCPU back keeps it, with no runqueue round trip,
+        while its guest still sees the stop and the start."""
+        prev = pcpu.current
         now = self.sim.now
         # Let the guest checkpoint the running task *before* the state
         # flips; it may consult the clock.
-        if vcpu.vm.guest is not None:
-            vcpu.vm.guest.vcpu_stopped_running(vcpu)
-        vcpu.set_runstate(new_state, now)
-        pcpu.current = None
+        if prev.vm.guest is not None:
+            prev.vm.guest.vcpu_stopped_running(prev)
         if new_state == RUNSTATE_RUNNABLE:
-            pcpu.insert_vcpu(vcpu)
-            vcpu.preemptions += 1
+            prev.preemptions += 1
             self.sim.trace.count('hv.preemptions')
+        else:
+            prev.set_runstate(new_state, now)
+            pcpu.current = None
         # A descheduled vCPU stops any armed PLE window.
-        ple = self.machine.ple
-        if ple is not None:
-            ple.on_spin_stop(vcpu)
+        if prev.ple_window is not None:
+            prev.ple_window.cancel()
+        deferred = pcpu.preempt_deferred
+        # A still-current prev is picked as if requeued, so it looks
+        # resident on ``pcpu`` to the steal path.
+        candidate = None if deferred else self._pick(pcpu)
+        if candidate is not prev and pcpu.current is prev:
+            prev.set_runstate(RUNSTATE_RUNNABLE, now)
+            pcpu.current = None
+            pcpu.insert_vcpu(prev)
+        if not deferred:
+            self._dispatch(pcpu, candidate)
 
     def _schedule(self, pcpu):
-        """Dispatch the best runnable vCPU on ``pcpu`` (stealing from
-        peers in unpinned mode when profitable)."""
-        if pcpu.current is not None or pcpu.preempt_deferred:
-            return
-        candidate = pcpu.peek_best()
+        """Dispatch the best runnable vCPU on an idle ``pcpu``."""
+        if pcpu.current is None and not pcpu.preempt_deferred:
+            self._dispatch(pcpu, self._pick(pcpu))
+
+    def _pick(self, pcpu):
+        """The vCPU ``pcpu`` runs next: its best runnable one, counting
+        a still-current vCPU as requeued, or a better one stolen from a
+        peer in unpinned mode."""
+        candidate = pcpu.peek_best(pcpu.current)
         if self.machine.hv_balancer is not None:
             candidate = self.machine.hv_balancer.maybe_steal(pcpu, candidate)
-        if candidate is None:
-            pcpu.mark_idle(self.sim.now)
-            return
-        candidate.pcpu.remove_vcpu(candidate)
-        candidate.pcpu = pcpu
+        return candidate
+
+    def _dispatch(self, pcpu, vcpu):
+        """Run ``vcpu`` on ``pcpu``, or idle ``pcpu`` when None. The
+        current vCPU re-picked keeps its pCPU."""
         now = self.sim.now
-        candidate.set_runstate(RUNSTATE_RUNNING, now)
-        candidate.slice_start = now
-        pcpu.current = candidate
-        pcpu.mark_busy(now)
+        if vcpu is None:
+            pcpu.mark_idle(now)
+            return
+        if vcpu is not pcpu.current:
+            vcpu.pcpu.remove_vcpu(vcpu)
+            vcpu.pcpu = pcpu
+            pcpu.current = vcpu
+            pcpu.mark_busy(now)
+        vcpu.set_runstate(RUNSTATE_RUNNING, now)
+        vcpu.slice_start = now
         # Delay-preemption bookkeeping, then the pended interrupts.
         machine = self.machine
         if machine.delay_preempt is not None:
-            machine.delay_preempt.on_dispatch(candidate)
-        if candidate.pending_virqs:
-            machine.channels.drain_pending(candidate)
-        if candidate.vm.guest is not None:
-            candidate.vm.guest.vcpu_started_running(candidate)
+            machine.delay_preempt.on_dispatch(vcpu)
+        if vcpu.pending_virqs:
+            machine.channels.drain_pending(vcpu)
+        if vcpu.vm.guest is not None:
+            vcpu.vm.guest.vcpu_started_running(vcpu)
 
     # ------------------------------------------------------------------
     # Placement

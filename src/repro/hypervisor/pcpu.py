@@ -55,12 +55,20 @@ class PCpu:
         """Remove ``vcpu`` from the runqueue (it must be present)."""
         self.runq.remove(vcpu)
 
-    def peek_best(self):
+    def peek_best(self, incoming=None):
         """The runnable vCPU that would be dispatched next, or None.
-        Co-stopped vCPUs (relaxed co-scheduling) are not dispatchable."""
+        Co-stopped vCPUs (relaxed co-scheduling) are not dispatchable.
+        ``incoming`` counts as queued where :meth:`insert_vcpu` would
+        put it, without being queued."""
         for vcpu in self.runq:
+            if incoming is not None and vcpu.priority > incoming.priority:
+                if not incoming.costopped:
+                    return incoming
+                incoming = None
             if not vcpu.costopped:
                 return vcpu
+        if incoming is not None and not incoming.costopped:
+            return incoming
         return None
 
     @property

@@ -18,29 +18,26 @@ DEFAULT_PLE_WINDOW_NS = 50 * US
 
 
 class PleMonitor:
-    """Per-machine PLE state: one armed window per spinning vCPU."""
+    """Per-machine PLE monitor; each spinning vCPU holds its armed
+    window in ``VCpu.ple_window``."""
 
     def __init__(self, sim, machine, window_ns=DEFAULT_PLE_WINDOW_NS):
         self.sim = sim
         self.machine = machine
         self.window_ns = window_ns
-        # vcpu -> its window's Event: armed while pending, otherwise
-        # the fired (re-armable) or cancelled handle of the last window.
-        self._windows = {}
 
     def on_spin_start(self, vcpu):
         """The running task on ``vcpu`` entered a pause loop."""
-        event = self._windows.get(vcpu)
+        event = vcpu.ple_window
         if event is not None and not (event.fired or event.cancelled):
             return
-        self._windows[vcpu] = self.sim.rearm(
+        vcpu.ple_window = self.sim.rearm(
             event, self.window_ns, self._window_expired, vcpu)
 
     def on_spin_stop(self, vcpu):
         """The pause loop ended (lock acquired, or vCPU descheduled)."""
-        event = self._windows.get(vcpu)
-        if event is not None:
-            event.cancel()
+        if vcpu.ple_window is not None:
+            vcpu.ple_window.cancel()
 
     def _window_expired(self, vcpu):
         if not vcpu.is_running:

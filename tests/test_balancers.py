@@ -4,6 +4,7 @@ balancer's decision logic."""
 from repro.guestos.balancer import GuestBalancer
 from repro.hypervisor import Machine, VM
 from repro.hypervisor.balancer import HypervisorBalancer
+from repro.hypervisor.vcpu import PRI_OVER
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC
 from repro.workloads import Compute, Sleep, cpu_hog
@@ -112,6 +113,32 @@ class TestHypervisorRebalance:
             machine.pcpus[0].insert_vcpu(vcpu)
         assert machine.hv_balancer.periodic_rebalance() == 0
         assert machine.pcpus[1].nr_runnable == 0
+
+    def test_repick_that_keeps_its_pcpu_is_not_a_move(self):
+        """The force-yielded vCPU outranks the two OVER vCPUs pinned
+        behind it, so it is re-picked where it ran: nothing moved."""
+        sim = Simulator(seed=5)
+        machine = Machine(sim, 2)
+        machine.hv_balancer = HypervisorBalancer(machine)
+        floating = VM('float', 1, sim)
+        machine.add_vm(floating)
+        pinned = VM('pinned', 2, sim)
+        machine.add_vm(pinned, pinning=[0, 0])
+        pcpu0 = machine.pcpus[0]
+        for vcpu in pinned.vcpus:
+            vcpu.set_runstate('runnable', 0)
+            vcpu.priority = PRI_OVER
+            pcpu0.insert_vcpu(vcpu)
+        runner = floating.vcpus[0]
+        runner.set_runstate('runnable', 0)
+        pcpu0.insert_vcpu_head(runner)
+        machine.scheduler._schedule(pcpu0)
+        assert pcpu0.current is runner
+
+        assert machine.hv_balancer.periodic_rebalance() == 0
+        assert sim.trace.counters['hv.repicks'] == 0
+        assert pcpu0.current is runner
+        assert machine.pcpus[1].current is None
 
 
 class TestGuestWakeBalancing:

@@ -1,11 +1,14 @@
 """Behavioural tests for the credit scheduler."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.experiments import apply_strategy
 from repro.hypervisor import Machine, VM
+from repro.hypervisor.vcpu import PRI_BOOST, PRI_OVER, PRI_UNDER
 from repro.simkernel import Simulator
-from repro.simkernel.units import MS, SEC
-from repro.workloads import Compute
+from repro.simkernel.units import MS, SEC, US
+from repro.workloads import Acquire, Compute, Release, SpinLock
 
 from conftest import build_vm
 
@@ -152,3 +155,96 @@ class TestDeferredPreemptionGuard:
         with pytest.raises(RuntimeError):
             machine.scheduler.complete_deferred_preemption(
                 vm.vcpus[0], block=False)
+
+
+def _two_step_switch(runq, prev):
+    """Reference yield: ``insert_vcpu(prev)``, then dispatch what
+    ``peek_best`` names. Returns (dispatched, runqueue after)."""
+    queue = list(runq)
+    pos = next((i for i, v in enumerate(queue)
+                if v.priority > prev.priority), len(queue))
+    queue.insert(pos, prev)
+    best = next((v for v in queue if not v.costopped), None)
+    if best is not None:
+        queue.remove(best)
+    return best, queue
+
+
+_PRIORITIES = st.sampled_from([PRI_BOOST, PRI_UNDER, PRI_OVER])
+
+
+class TestSwitch:
+    @settings(max_examples=200, deadline=None)
+    @given(queued=st.lists(st.tuples(_PRIORITIES, st.booleans()),
+                           max_size=5),
+           prev_priority=_PRIORITIES, prev_costopped=st.booleans())
+    def test_yield_dispatches_as_requeue_then_pick(
+            self, queued, prev_priority, prev_costopped):
+        """A yield picks the vCPU (and leaves the runqueue) that
+        requeueing prev and then picking would, on runqueues in any
+        priority order (accounting re-ranks queued vCPUs in place)."""
+        sim = Simulator(seed=0)
+        machine = Machine(sim, n_pcpus=1)
+        pcpu = machine.pcpus[0]
+        vm = VM('q', len(queued) + 1, sim)
+        machine.add_vm(vm, pinning=[0] * vm.n_vcpus)
+        prev, others = vm.vcpus[0], vm.vcpus[1:]
+        for vcpu, (priority, costopped) in zip(others, queued):
+            vcpu.set_runstate('runnable', 0)
+            vcpu.priority, vcpu.costopped = priority, costopped
+            pcpu.runq.append(vcpu)
+        prev.set_runstate('running', 0)
+        prev.priority, prev.costopped = prev_priority, prev_costopped
+        pcpu.current = prev
+        expected, expected_runq = _two_step_switch(pcpu.runq, prev)
+
+        machine.scheduler.force_yield(prev)
+
+        assert pcpu.current is expected
+        assert pcpu.runq == expected_runq
+        assert prev.preemptions == 1
+        assert sim.trace.counters['hv.preemptions'] == 1
+        assert prev.is_running == (expected is prev)
+
+    def test_ple_exit_of_lone_spinner_keeps_its_pcpu(self):
+        """A spinning vCPU alone on its pCPU is re-picked by its PLE
+        exit: counted as a preemption, dispatched afresh (new slice,
+        guest tick re-armed, PLE window re-armed) and never queued."""
+        sim = Simulator(seed=1)
+        machine = Machine(sim, n_pcpus=2)
+        apply_strategy(machine, 'ple')
+        vm, kernel = build_vm(sim, machine, 'par', n_vcpus=2,
+                              pinning=[0, 1])
+        lock = SpinLock('l')
+
+        def holder():
+            yield Acquire(lock)
+            yield Compute(1 * SEC)
+            yield Release(lock)
+
+        def waiter():
+            yield Compute(300 * US)
+            yield Acquire(lock)
+            yield Release(lock)
+        kernel.spawn('holder', holder(), gcpu_index=1)
+        kernel.spawn('waiter', waiter(), gcpu_index=0)
+        machine.start()
+        spinner, pcpu = vm.vcpus[0], machine.pcpus[0]
+        sim.run_until(400 * US)
+        expiry = spinner.ple_window.time
+        sim.run_until(expiry - 1)
+        counters = sim.trace.counters
+        before = (counters['ple.exits'], counters['hv.preemptions'],
+                  spinner.preemptions)
+        sim.run_until(expiry)
+
+        after = (counters['ple.exits'], counters['hv.preemptions'],
+                 spinner.preemptions)
+        assert after == tuple(n + 1 for n in before)
+        assert pcpu.current is spinner and pcpu.runq == []
+        assert spinner.slice_start == expiry
+        tick = spinner.gcpu.tick_event
+        assert tick.pending
+        assert tick.time == expiry + kernel.policy.config.tick_ns
+        assert spinner.ple_window.pending
+        assert spinner.ple_window.time == expiry + 50 * US
