@@ -1,11 +1,11 @@
-"""Timing harness for the run cache, three hot-path micros and the
+"""Timing harness for the run cache, the replint sweep and the
 perfbench workloads.
 
 Times each quick figure through a cold and then a warm result cache
-(the warm pass must dispatch no run), plus the action-dispatch, latency
-percentile and replint micros, records one default-seed
-``perfbench/run.py`` pass per workload, and writes
-``BENCH_runtimes.json`` at the repo root.
+(the warm pass must dispatch no run) and one replint sweep, records one
+default-seed ``perfbench/run.py`` pass per workload (the calibrated
+``wall_ref_s``/``run_p50_ref_ms`` record the simulator's hot path), and
+writes ``BENCH_runtimes.json`` at the repo root.
 
 Not collected by pytest (no ``test_`` prefix); run directly:
 
@@ -47,16 +47,6 @@ FIGURES = {
     'traffic-slo': traffic_slo,
 }
 
-#: Program lengths (iterations) of the two dispatch microbenchmark
-#: runs. Each iteration is two one-shot actions (Acquire + Release; the
-#: Compute is charged by the timer path, not the dispatch table). The
-#: reported cost is the marginal one between the two lengths, so set-up
-#: and the first ticks cancel out.
-DISPATCH_ITERATIONS = (10_000, 50_000)
-
-#: Timed repeats of each length; the fastest is kept.
-DISPATCH_REPEATS = 5
-
 
 def _timed(driver, cache):
     """Host seconds of one serial quick ``driver`` pass through
@@ -65,84 +55,6 @@ def _timed(driver, cache):
     start = time.perf_counter()
     driver(quick=True, run=run)
     return round(time.perf_counter() - start, 4)
-
-
-def _dispatch_run_s(iterations):
-    """Host seconds one task takes to chew through ``iterations``
-    uncontended lock/unlock pairs separated by short computes. The run
-    stops when the task exits, so no idle credit ticks are timed."""
-    from repro.guestos import GuestKernel
-    from repro.hypervisor import Machine, VM
-    from repro.simkernel import Simulator
-    from repro.simkernel.units import SEC, US
-    from repro.workloads import Acquire, Compute, Mutex, Release
-
-    sim = Simulator(seed=0)
-    machine = Machine(sim, n_pcpus=1)
-    vm = VM('bench', 1, sim)
-    machine.add_vm(vm, pinning=[0])
-    kernel = GuestKernel(sim, vm, machine)
-    lock = Mutex('m')
-
-    def program():
-        for __ in range(iterations):
-            yield Acquire(lock)
-            yield Release(lock)
-            yield Compute(1 * US)
-
-    task = kernel.spawn('dispatch', program(), gcpu_index=0,
-                        on_exit=lambda task, now: sim.stop())
-    machine.start()
-    start = time.perf_counter()
-    sim.run_until(1000 * SEC)
-    wall = time.perf_counter() - start
-    if task.finished_at is None:
-        raise AssertionError('dispatch task did not finish')
-    return wall
-
-
-def measure_dispatch(iterations=DISPATCH_ITERATIONS):
-    """Time the guest kernel's action-dispatch hot path
-    (``repro.guestos.interp.ActionInterpreter``) at two program lengths.
-    Returns a ``BENCH_runtimes.json`` figure entry: ``dispatch_s`` is the
-    longer run, ``ns_per_action`` the marginal cost of one one-shot
-    action (the time difference over the action difference)."""
-    short, long_ = iterations
-    short_s = min(_dispatch_run_s(short) for __ in range(DISPATCH_REPEATS))
-    long_s = min(_dispatch_run_s(long_) for __ in range(DISPATCH_REPEATS))
-    marginal_s = (long_s - short_s) / ((long_ - short) * 2)
-    return {
-        'dispatch_s': round(long_s, 4),
-        'ns_per_action': round(marginal_s * 1e9, 1),
-    }
-
-
-#: Samples and interleaved percentile queries for the latency
-#: microbenchmark — the record/query mix a live SLO tracker produces.
-PERCENTILE_SAMPLES = 100_000
-PERCENTILE_QUERY_EVERY = 1_000
-
-
-def measure_percentiles(samples=PERCENTILE_SAMPLES,
-                        query_every=PERCENTILE_QUERY_EVERY):
-    """Time :class:`repro.metrics.LatencyRecorder` under the serving
-    plane's access pattern: a long append stream with periodic p50/p99
-    queries (SLO snapshots), where the cached sorted view only pays for
-    re-sorting when the sample set actually changed."""
-    from repro.metrics import LatencyRecorder
-
-    rec = LatencyRecorder()
-    start = time.perf_counter()
-    for i in range(samples):
-        rec.record((i * 2654435761) % 1_000_000)
-        if i % query_every == 0:
-            rec.p50()
-            rec.p99()
-    wall = time.perf_counter() - start
-    return {
-        'percentiles_s': round(wall, 4),
-        'ns_per_sample': round(wall * 1e9 / samples, 1),
-    }
 
 
 #: Wall-time budget for one full repro-lint sweep (all five passes over
@@ -224,10 +136,6 @@ def measure():
                     f'{name}: warm cache pass dispatched {dispatched} runs')
         results[name] = entry
         print(f'{name}: {entry}')
-    results['action-dispatch'] = measure_dispatch()
-    print(f"action-dispatch: {results['action-dispatch']}")
-    results['latency-percentiles'] = measure_percentiles()
-    print(f"latency-percentiles: {results['latency-percentiles']}")
     results['replint'] = measure_replint()
     print(f"replint: {results['replint']}")
     return results

@@ -34,18 +34,26 @@ class RtAvgTracker:
     def update(self):
         """Fold in everything since the last update; return the avg."""
         now = self.sim.now
-        elapsed = now - self._last_time
+        last = self._last_time
+        elapsed = now - last
         if elapsed <= 0:
             return self.value
-        run, steal, __ = self.vcpu.snapshot_accounting(now)
-        busy = (run - self._last_run) + (steal - self._last_steal)
-        fraction = busy / elapsed
         if elapsed != self._decay_elapsed:
             self._decay_elapsed = elapsed
             self._decay = exp(-elapsed / self.tau_ns)
         decay = self._decay
-        self.value = decay * self.value + (1.0 - decay) * fraction
+        vcpu = self.vcpu
+        if vcpu.is_running and vcpu.runstate_since <= last:
+            # It ran all of (last, now]: busy == elapsed, so the
+            # fraction is exactly 1.0 and steal did not move. Same bits
+            # as the general fold, without the snapshot.
+            self.value = decay * self.value + (1.0 - decay)
+            self._last_run += elapsed
+        else:
+            run, steal, __ = vcpu.snapshot_accounting(now)
+            busy = (run - self._last_run) + (steal - self._last_steal)
+            self.value = decay * self.value + (1.0 - decay) * (busy / elapsed)
+            self._last_run = run
+            self._last_steal = steal
         self._last_time = now
-        self._last_run = run
-        self._last_steal = steal
         return self.value

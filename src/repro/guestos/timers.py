@@ -105,9 +105,8 @@ class TickDriver:
         policy = kernel.policy
         config = policy.config
         gcpu.tick_count += 1
-        # arm_tick() inlined: tick_event is the handle firing now.
-        gcpu.tick_event = self.sim.rearm(
-            gcpu.tick_event, config.tick_ns, self._on_tick, gcpu)
+        # arm_tick() inlined: gcpu.tick_event is the handle firing now.
+        self.sim.again(config.tick_ns)
         gcpu.rt.update()
         task = gcpu.current
         if task is None:

@@ -56,7 +56,6 @@ class CreditScheduler:
         self.config = config or CreditConfig()
         self.vcpus = []
         self._started = False
-        self._tick_events = {}       # pcpu -> its periodic tick Event
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -69,8 +68,7 @@ class CreditScheduler:
         self._started = True
         cfg = self.config
         for pcpu in self.machine.pcpus:
-            self._tick_events[pcpu] = self.sim.after(
-                cfg.tick_ns, self._tick, pcpu)
+            self.sim.after(cfg.tick_ns, self._tick, pcpu)
         self.sim.after(cfg.accounting_ns, self._accounting)
 
     def register_vcpu(self, vcpu, pcpu):
@@ -150,8 +148,7 @@ class CreditScheduler:
     def _tick(self, pcpu):
         """10 ms tick: debit credits, drop BOOST, check the slice."""
         cfg = self.config
-        self._tick_events[pcpu] = self.sim.rearm(
-            self._tick_events[pcpu], cfg.tick_ns, self._tick, pcpu)
+        self.sim.again(cfg.tick_ns)
         current = pcpu.current
         if current is not None:
             # Xen clips credits at -cap: a vCPU can overdraw at most
@@ -185,7 +182,7 @@ class CreditScheduler:
         """30 ms accounting: refill credits proportional to VM weight,
         then run strategy hooks (relaxed co-scheduling)."""
         cfg = self.config
-        self.sim.after(cfg.accounting_ns, self._accounting)
+        self.sim.again(cfg.accounting_ns)
         active = [v for v in self.vcpus if not v.is_blocked]
         if active:
             total_weight = sum(v.vm.weight for v in active)

@@ -17,7 +17,7 @@ class Event:
     Instances are handles: hold one to :meth:`cancel` the event before it
     fires. An event fires at most once per scheduling;
     :meth:`Simulator.rearm <repro.simkernel.simulation.Simulator.rearm>`
-    may schedule a fired handle again.
+    and ``Simulator.again`` may schedule a fired handle again.
     """
 
     __slots__ = ('time', 'seq', 'callback', 'args', 'cancelled', 'fired',
@@ -56,11 +56,11 @@ class Event:
 class EventQueue:
     """Priority queue of :class:`Event` objects ordered by (time, seq).
 
-    :meth:`Simulator.after <repro.simkernel.simulation.Simulator.after>`
-    and ``Simulator.rearm`` push onto ``_heap`` directly and
-    ``Simulator.run_until`` drops cancelled heads from it inline, so they
-    depend on the ``(time, seq, event)`` entry layout and on
-    ``_seq``/``_live``; a change to either updates them too.
+    :meth:`Simulator.after <repro.simkernel.simulation.Simulator.after>`,
+    ``Simulator.rearm`` and ``Simulator.again`` push onto ``_heap``
+    directly and ``Simulator.run_until`` drops cancelled heads from it
+    inline, so they depend on the ``(time, seq, event)`` entry layout and
+    on ``_seq``/``_live``; a change to either updates them too.
     """
 
     def __init__(self):

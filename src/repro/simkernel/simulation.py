@@ -75,6 +75,9 @@ class Simulator:
         self._events_processed = 0
         self._post_event_hooks = []
         self._last_event = None
+        # The event whose callback is running (None between dispatches):
+        # the handle again() re-arms.
+        self._firing = None
         self.sanitizer = None
 
     # ------------------------------------------------------------------
@@ -134,6 +137,26 @@ class Simulator:
         queue._live += 1
         return handle
 
+    def again(self, delay):
+        """Re-arm the event being dispatched ``delay`` ns from now, with
+        its own callback and args: the periodic timer's re-arm.
+
+        Like :meth:`rearm` on a fired handle, it takes the next ``seq``
+        and allocates nothing. Raises :class:`SimulationError` outside
+        a dispatch, on a second call from the same callback (the handle
+        is no longer fired) and for a negative delay."""
+        event = self._firing
+        if event is None or not event.fired:
+            raise SimulationError('again() needs the firing event')
+        if delay < 0:
+            raise SimulationError('negative delay %d' % delay)
+        queue = self._queue
+        time = event.time = self.now + delay
+        seq = event.seq = queue._seq = queue._seq + 1
+        event.fired = False
+        heappush(queue._heap, (time, seq, event))
+        queue._live += 1
+
     def call_soon(self, callback, *args):
         """Schedule ``callback(*args)`` at the current time (after any
         event currently firing completes)."""
@@ -183,8 +206,11 @@ class Simulator:
                 'event at %d in the past (now %d)' % (time, self.now))
         self.now = time
         self._events_processed += 1
-        self._last_event = event
-        event.callback(*event.args)
+        self._last_event = self._firing = event
+        try:
+            event.callback(*event.args)
+        finally:
+            self._firing = None
         if self._post_event_hooks:
             for hook in self._post_event_hooks:
                 hook(event)

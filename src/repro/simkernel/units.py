@@ -17,21 +17,6 @@ MS = MILLISECOND
 SEC = SECOND
 
 
-def ns_to_ms(value_ns):
-    """Convert integer nanoseconds to float milliseconds (for reporting)."""
-    return value_ns / MILLISECOND
-
-
-def ns_to_us(value_ns):
-    """Convert integer nanoseconds to float microseconds (for reporting)."""
-    return value_ns / MICROSECOND
-
-
-def ns_to_sec(value_ns):
-    """Convert integer nanoseconds to float seconds (for reporting)."""
-    return value_ns / SECOND
-
-
 def format_ns(value_ns):
     """Render a duration with a human-friendly unit.
 

@@ -1,9 +1,12 @@
 """Unit tests for CFS policy, rt_avg tracking, and timers."""
 
+from math import exp
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.guestos.cfs import CfsConfig, CfsPolicy
-from repro.guestos.loadavg import RtAvgTracker
+from repro.guestos.loadavg import DEFAULT_TAU_NS, RtAvgTracker
 from repro.guestos.runqueue import RunQueue
 from repro.guestos.task import TASK_READY, Task
 from repro.hypervisor.vcpu import (
@@ -100,6 +103,44 @@ class TestTickResched:
         assert not policy.should_resched_at_tick(current, rq)
 
 
+_TICK_NS = CfsConfig().tick_ns
+_RUNSTATES = st.sampled_from(
+    (RUNSTATE_RUNNING, RUNSTATE_RUNNABLE, RUNSTATE_BLOCKED))
+# Same instant, exactly one tick, or anywhere within three ticks.
+_GAPS = st.one_of(st.just(0), st.just(_TICK_NS),
+                  st.integers(1, 3 * _TICK_NS))
+
+
+class _ReferenceRtAvg:
+    """RtAvgTracker.update without the fast path: every update folds a
+    fresh snapshot's busy fraction."""
+
+    def __init__(self, vcpu, sim, tau_ns=DEFAULT_TAU_NS):
+        # Bound now, so a spy installed later on the vCPU does not see
+        # the reference's snapshots.
+        self.snapshot = vcpu.snapshot_accounting
+        self.sim = sim
+        self.tau_ns = tau_ns
+        self.value = 0.0
+        self.last_time = sim.now
+        self.last_run, self.last_steal, __ = self.snapshot(sim.now)
+
+    def update(self):
+        now = self.sim.now
+        elapsed = now - self.last_time
+        if elapsed <= 0:
+            return self.value
+        run, steal, __ = self.snapshot(now)
+        busy = (run - self.last_run) + (steal - self.last_steal)
+        fraction = busy / elapsed
+        decay = exp(-elapsed / self.tau_ns)
+        self.value = decay * self.value + (1.0 - decay) * fraction
+        self.last_time = now
+        self.last_run = run
+        self.last_steal = steal
+        return self.value
+
+
 class TestRtAvg:
     def _tracker(self):
         sim = Simulator()
@@ -141,6 +182,46 @@ class TestRtAvg:
         sim.now = 50 * MS
         first = tracker.update()
         assert tracker.update() == first
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=_RUNSTATES, history=st.lists(st.one_of(
+        st.tuples(st.just('switch'), _GAPS, _RUNSTATES),
+        st.tuples(st.just('update'), _GAPS, st.none())), max_size=40))
+    def test_update_matches_the_snapshot_fold(self, start, history):
+        """Over random runstate histories (same-instant switches and
+        updates one tick apart included) the tracker keeps the bits of
+        the general snapshot fold, and it takes no snapshot exactly when
+        the vCPU ran all of (last update, now]."""
+        sim = Simulator()
+        vcpu = VM('vm', 1, sim).vcpus[0]
+        vcpu.set_runstate(start, 0)
+        tracker = RtAvgTracker(vcpu, sim)
+        reference = _ReferenceRtAvg(vcpu, sim)
+        snapshot = vcpu.snapshot_accounting
+        snapshots = []
+
+        def counting_snapshot(now):
+            snapshots.append(now)
+            return snapshot(now)
+        vcpu.snapshot_accounting = counting_snapshot
+        switched_at = 0
+        for op, gap, state in history:
+            sim.now += gap
+            if op == 'switch':
+                vcpu.set_runstate(state, sim.now)
+                switched_at = sim.now
+                continue
+            ran_whole_period = (vcpu.runstate == RUNSTATE_RUNNING
+                                and switched_at <= tracker._last_time)
+            elapsed = sim.now - tracker._last_time
+            del snapshots[:]
+            tracker.update()
+            reference.update()
+            assert snapshots == (
+                [] if elapsed <= 0 or ran_whole_period else [sim.now])
+            assert tracker.value.hex() == reference.value.hex()
+            assert tracker._last_run == reference.last_run
+            assert tracker._last_steal == reference.last_steal
 
 
 class TestTimers:

@@ -351,6 +351,146 @@ class TestRearm:
         assert len(queue) == 1
 
 
+def _periodic_model(sim, rearm):
+    """Two chains with 10 ns and 15 ns periods plus one-shots at shared
+    instants, re-armed through ``rearm(delay, callback, *args)`` (which
+    returns the new ``seq``). Returns the ``(now, name, seq)`` log."""
+    log = []
+
+    def tick(name, period):
+        if sim.now < 60:
+            log.append((sim.now, name, rearm(period, tick, name, period)))
+        else:
+            log.append((sim.now, name, None))
+
+    def one_shot(name):
+        log.append((sim.now, name, None))
+    sim.after(10, tick, 'fast', 10)
+    sim.after(15, tick, 'slow', 15)
+    for time in (30, 45, 60):
+        sim.at(time, one_shot, 'shot@%d' % time)
+    sim.run_until_idle()
+    return log
+
+
+class TestAgain:
+    """``Simulator.again``: the dispatched event re-arms itself with its
+    own callback and args, drawing ``seq`` exactly as ``after`` would."""
+
+    def test_chain_matches_after(self, sim):
+        def with_after(delay, callback, *args):
+            return sim_after.after(delay, callback, *args).seq
+
+        def with_again(delay, callback, *args):
+            sim.again(delay)
+            return sim.last_event.seq
+        sim_after = Simulator(seed=42)
+        expected = _periodic_model(sim_after, with_after)
+        assert _periodic_model(sim, with_again) == expected
+        # Same-instant ties fire in seq order: the one-shot was
+        # scheduled first, and slow re-armed (at 15) before fast (at 20).
+        assert [entry[:2] for entry in expected[:6]] == [
+            (10, 'fast'), (15, 'slow'), (20, 'fast'), (30, 'shot@30'),
+            (30, 'slow'), (30, 'fast')]
+        assert sim._queue._seq == sim_after._queue._seq
+        assert sim.events_processed == sim_after.events_processed
+
+    def test_keeps_the_handle(self, sim):
+        results = []
+
+        def tick():
+            results.append(sim.now)
+            if len(results) < 4:
+                sim.again(10)
+        handle = sim.after(10, tick)
+        sim.run_until_idle()
+        assert results == [10, 20, 30, 40]
+        assert handle.fired and handle.time == 40
+        assert sim.last_event is handle
+        assert sim.pending_events == 0
+
+    def test_outside_a_dispatch_raises(self, sim):
+        with pytest.raises(SimulationError):
+            sim.again(10)
+        handle = sim.after(10, lambda: None)
+        sim.run_until(100)
+        assert sim.last_event is handle and handle.fired
+        with pytest.raises(SimulationError):
+            sim.again(10)
+        assert handle.fired
+        assert sim._queue._seq == 1
+        assert sim.pending_events == 0
+
+    def test_outside_a_dispatch_after_a_callback_raised(self, sim):
+        def boom():
+            raise RuntimeError('boom')
+        handle = sim.after(10, boom)
+        with pytest.raises(RuntimeError):
+            sim.run_until(100)
+        with pytest.raises(SimulationError):
+            sim.again(10)
+        assert handle.fired and sim.pending_events == 0
+
+    def test_second_call_from_one_callback_raises(self, sim):
+        results = []
+
+        def tick():
+            sim.again(10)
+            with pytest.raises(SimulationError):
+                sim.again(20)
+            results.append((sim.now, sim._queue._seq, len(sim._queue)))
+        handle = sim.after(10, tick)
+        sim.run_until(15)
+        assert results == [(10, 2, 1)]
+        assert handle.pending and handle.time == 20
+
+    def test_negative_delay_raises(self, sim):
+        results = []
+
+        def tick():
+            with pytest.raises(SimulationError):
+                sim.again(-1)
+            results.append(sim.now)
+        handle = sim.after(10, tick)
+        sim.run_until_idle()
+        assert results == [10]
+        assert handle.fired
+        assert sim._queue._seq == 1
+        assert sim.pending_events == 0
+
+    def test_cancel_and_len_across_fire_again_cancel(self, sim):
+        queue = sim._queue
+        lens = []
+
+        def tick(cancel_now):
+            lens.append(len(queue))
+            sim.again(10)
+            lens.append(len(queue))
+            if cancel_now:
+                sim.last_event.cancel()
+                lens.append(len(queue))
+        handle = sim.after(10, tick, False)
+        assert len(queue) == 1
+        sim.run_until(10)
+        assert lens == [0, 1]
+        assert handle.pending and handle.time == 20
+        assert len(queue) == 1
+        handle.cancel()
+        handle.cancel()
+        assert handle.cancelled and len(queue) == 0
+        assert sim.run_until(100) == 0
+        # Cancelled from inside its own callback, right after again().
+        lens.clear()
+        other = sim.after(10, tick, True)
+        sim.run_until(200)
+        assert lens == [0, 1, 0]
+        assert other.cancelled and len(queue) == 0
+        # A cancelled handle keeps its stale heap entry, so rearm()
+        # replaces it rather than reviving it.
+        fresh = sim.rearm(other, 5, lambda: None)
+        assert fresh is not other and len(queue) == 1
+
+
 def _dispatch_callees(stats):
     """``{(file tail, function name): calls}`` of every function that
     ``Simulator.step`` called in a ``pstats`` mapping."""

@@ -4,15 +4,7 @@ import pytest
 
 from repro.simkernel import Simulator
 from repro.simkernel.tracing import Tracer
-from repro.simkernel.units import (
-    MS,
-    SEC,
-    US,
-    format_ns,
-    ns_to_ms,
-    ns_to_sec,
-    ns_to_us,
-)
+from repro.simkernel.units import MS, SEC, format_ns
 
 
 class TestCounters:
@@ -71,11 +63,6 @@ class TestObservabilityHooks:
 
 
 class TestUnits:
-    def test_conversions(self):
-        assert ns_to_ms(30 * MS) == 30.0
-        assert ns_to_us(5 * US) == 5.0
-        assert ns_to_sec(2 * SEC) == 2.0
-
     def test_format_ns_picks_unit(self):
         assert format_ns(500) == '500ns'
         assert format_ns(1500) == '1.500us'
