@@ -74,8 +74,12 @@ class Cluster:
             raise ValueError('a cluster needs at least one host')
         self.sim = sim
         self.hosts = []
+        # vm -> the Host it is resident on; every host keeps this one
+        # map in step with its resident_vms.
+        self.vm_hosts = {}
         for index, spec in enumerate(host_specs):
-            host = Host(sim, spec, index, irs_config=irs_config)
+            host = Host(sim, spec, index, irs_config=irs_config,
+                        vm_hosts=self.vm_hosts)
             host.monitor = HostInterferenceMonitor(host)
             self.hosts.append(host)
         self.policy = make_policy(policy)
@@ -262,10 +266,7 @@ class Cluster:
     def host_of(self, vm):
         """The host a VM currently resides on, or ``None`` while it is
         in flight."""
-        for host in self.hosts:
-            if vm in host.resident_vms:
-                return host
-        return None
+        return self.vm_hosts.get(vm)
 
     def vm_named(self, name):
         """The live VM called ``name`` (resident or in flight), or

@@ -50,7 +50,7 @@ class HostSpec:
 class Host:
     """One live host of a :class:`~repro.cluster.cluster.Cluster`."""
 
-    def __init__(self, sim, spec, index, irs_config=None):
+    def __init__(self, sim, spec, index, irs_config=None, vm_hosts=None):
         self.sim = sim
         self.spec = spec
         self.index = index
@@ -71,6 +71,9 @@ class Host:
         self.metrics = sim.trace.metrics.scoped('host.%s.' % spec.name,
                                                 host=spec.name)
         self.resident_vms = []
+        # The cluster's vm -> host map (shared by its hosts): placing,
+        # evicting and adopting a VM update it with resident_vms.
+        self.vm_hosts = {} if vm_hosts is None else vm_hosts
         # vCPUs held for in-flight migrations targeting this host.
         self.reserved_vcpus = 0
         # Round-robin origin for per-VM pinning maps.
@@ -164,6 +167,7 @@ class Host:
         """Register a freshly created VM on this host's machine."""
         self.machine.add_vm(vm, pinning=self.pinning_for(vm.n_vcpus))
         self.resident_vms.append(vm)
+        self.vm_hosts[vm] = self
         self.metrics.count('placements')
         if self.monitor is not None:
             self.monitor.track(vm)
@@ -183,6 +187,7 @@ class Host:
             self.monitor.forget(vm)
         self.machine.detach_vm(vm)
         self.resident_vms.remove(vm)
+        del self.vm_hosts[vm]
         self.metrics.count('evictions')
 
     def adopt_vm(self, vm):
@@ -191,6 +196,7 @@ class Host:
         guest work."""
         self.machine.adopt_vm(vm, pinning=self.pinning_for(vm.n_vcpus))
         self.resident_vms.append(vm)
+        self.vm_hosts[vm] = self
         self.metrics.count('adoptions')
         kernel = vm.guest
         if kernel is not None:

@@ -148,8 +148,15 @@ class LogHistogram:
             self.min = value_ns
         if self.max is None or value_ns > self.max:
             self.max = value_ns
-        index = self._bucket_index(value_ns)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        # _bucket_index, inlined: record() is on every request's path.
+        if value_ns < SUB_BUCKETS:
+            index = value_ns
+        else:
+            octave = value_ns.bit_length() - 1
+            index = (octave * SUB_BUCKETS
+                     + ((value_ns - (1 << octave)) * SUB_BUCKETS >> octave))
+        buckets = self._buckets
+        buckets[index] = buckets.get(index, 0) + 1
 
     def __len__(self):
         return self.count

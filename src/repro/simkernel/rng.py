@@ -5,10 +5,41 @@ via :meth:`RngRegistry.stream`. Streams are derived from the experiment
 seed and the stream name, so adding a new consumer of randomness does not
 perturb the draws seen by existing consumers — runs stay reproducible and
 comparable across code changes.
+
+A hot consumer binds its stream once and draws through
+:func:`exponential_draw` / :func:`jittered_draw`, the one formula of
+each distribution; the named methods look the stream up per call.
 """
 
 import random
 import zlib
+
+
+def exponential_draw(stream, mean_ns, cap_ns=None):
+    """Draw an integer duration from Exp(mean) on ``stream``, optionally
+    capped.
+
+    A cap keeps pathological tail draws from dominating short
+    simulations while preserving the distribution body.
+    """
+    if mean_ns <= 0:
+        raise ValueError('mean must be positive, got %r' % mean_ns)
+    value = int(stream.expovariate(1.0 / mean_ns))
+    value = max(1, value)
+    if cap_ns is not None:
+        value = min(value, cap_ns)
+    return value
+
+
+def jittered_draw(stream, base_ns, jitter_fraction=0.1):
+    """Draw ``base_ns`` +/- a uniform jitter fraction (default 10%) on
+    ``stream``. A spread that rounds to 0 draws nothing."""
+    if base_ns <= 0:
+        raise ValueError('base must be positive, got %r' % base_ns)
+    spread = int(base_ns * jitter_fraction)
+    if spread == 0:
+        return base_ns
+    return base_ns + stream.randint(-spread, spread)
 
 
 class RngRegistry:
@@ -35,25 +66,15 @@ class RngRegistry:
             raise ValueError('empty range [%d, %d]' % (low_ns, high_ns))
         return self.stream(name).randint(low_ns, high_ns)
 
-    def exponential_ns(self, name, mean_ns, cap_ns=None):
-        """Draw an integer duration from Exp(mean), optionally capped.
+    # The named draws read the stream cache inline, saving a call on
+    # the workload programs' compute draws (jittered_ns).
 
-        A cap keeps pathological tail draws from dominating short
-        simulations while preserving the distribution body.
-        """
-        if mean_ns <= 0:
-            raise ValueError('mean must be positive, got %r' % mean_ns)
-        value = int(self.stream(name).expovariate(1.0 / mean_ns))
-        value = max(1, value)
-        if cap_ns is not None:
-            value = min(value, cap_ns)
-        return value
+    def exponential_ns(self, name, mean_ns, cap_ns=None):
+        """:func:`exponential_draw` on the stream ``name``."""
+        stream = self._streams.get(name) or self.stream(name)
+        return exponential_draw(stream, mean_ns, cap_ns)
 
     def jittered_ns(self, name, base_ns, jitter_fraction=0.1):
-        """Draw ``base_ns`` +/- a uniform jitter fraction (default 10%)."""
-        if base_ns <= 0:
-            raise ValueError('base must be positive, got %r' % base_ns)
-        spread = int(base_ns * jitter_fraction)
-        if spread == 0:
-            return base_ns
-        return base_ns + self.stream(name).randint(-spread, spread)
+        """:func:`jittered_draw` on the stream ``name``."""
+        stream = self._streams.get(name) or self.stream(name)
+        return jittered_draw(stream, base_ns, jitter_fraction)

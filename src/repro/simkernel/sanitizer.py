@@ -26,10 +26,12 @@ by the IRS sender — see ``repro.core.protocol``) get three more:
 * only IRS-capable VMs ever leave the idle state ("sa_capability").
 
 When a cluster is attached (``attach_cluster``, called by
-``Cluster.__init__``), three cluster-level invariants join the list:
+``Cluster.__init__``), four cluster-level invariants join the list:
 
 * a VM is resident on at most one host ("single-residency") and never
   both resident and in-flight;
+* the cluster's vm->host map (what ``Cluster.host_of`` reads) names
+  exactly the resident VMs, each with its host ("vm_host_map");
 * every host's ``reserved_vcpus`` equals the vCPUs of the in-flight
   migrations targeting it — aborts and rollbacks must not leak
   reservations;
@@ -364,6 +366,17 @@ class Sanitizer:
                 self._fail('single_residency',
                            '%s resident on %d hosts (%s)'
                            % (vm.name, len(hosts), ', '.join(hosts)), event)
+        vm_hosts = cluster.vm_hosts
+        for vm, host in vm_hosts.items():
+            if host.name not in residency.get(vm, ()):
+                self._fail('vm_host_map',
+                           '%s mapped to %s but not resident there'
+                           % (vm.name, host.name), event)
+        for vm, hosts in residency.items():
+            if vm not in vm_hosts:
+                self._fail('vm_host_map',
+                           '%s resident on %s but missing from the '
+                           'vm->host map' % (vm.name, hosts[0]), event)
         in_flight = cluster.migration.in_flight
         reserved = {host: 0 for host in cluster.hosts}
         for vm, flight in in_flight.items():

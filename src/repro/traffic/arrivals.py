@@ -10,10 +10,19 @@ A process is stateless until :meth:`ArrivalProcess.gaps` is called with
 a registry; the generator it returns yields integer inter-arrival gaps
 (ns, >= 1) forever. :meth:`ArrivalProcess.times` materializes the first
 ``n`` absolute arrival times — the determinism tests compare those
-lists byte-for-byte.
+lists byte-for-byte. Each generator binds its streams once, so a gap
+costs one draw, not a stream lookup by a formatted name.
 """
 
+from ..simkernel.rng import exponential_draw
 from ..simkernel.units import MS, SEC
+
+
+def _gap(stream, rate_rps):
+    """One exponential inter-arrival gap at ``rate_rps``, capped at ten
+    means."""
+    mean = max(1, int(SEC / rate_rps))
+    return exponential_draw(stream, mean, mean * 10)
 
 
 class ArrivalProcess:
@@ -41,10 +50,8 @@ class ArrivalProcess:
             out.append(t)
         return out
 
-    def _draw_gap(self, rng, rate_rps):
-        mean_gap = max(1, int(SEC / rate_rps))
-        return rng.exponential_ns('%s.gap' % self.stream, mean_gap,
-                                  cap_ns=mean_gap * 10)
+    def _gap_stream(self, rng):
+        return rng.stream('%s.gap' % self.stream)
 
     def __repr__(self):
         return '<%s %.0f rps stream=%s>' % (
@@ -57,8 +64,9 @@ class PoissonArrivals(ArrivalProcess):
     kind = 'poisson'
 
     def gaps(self, rng):
+        stream = self._gap_stream(rng)
         while True:
-            yield self._draw_gap(rng, self.rate_rps)
+            yield _gap(stream, self.rate_rps)
 
 
 class BurstyArrivals(ArrivalProcess):
@@ -89,20 +97,21 @@ class BurstyArrivals(ArrivalProcess):
         self.burst_rps = self.calm_rps * burst_factor
 
     def gaps(self, rng):
-        dwell_stream = '%s.dwell' % self.stream
+        stream = self._gap_stream(rng)
+        dwell_stream = rng.stream('%s.dwell' % self.stream)
         bursting = False
-        dwell_left = rng.exponential_ns(
+        dwell_left = exponential_draw(
             dwell_stream, int(self.cycle_ns * (1.0 - self.burst_fraction)))
         while True:
             rate = self.burst_rps if bursting else self.calm_rps
-            gap = self._draw_gap(rng, rate)
+            gap = _gap(stream, rate)
             yield gap
             dwell_left -= gap
             if dwell_left <= 0:
                 bursting = not bursting
                 fraction = (self.burst_fraction if bursting
                             else 1.0 - self.burst_fraction)
-                dwell_left = rng.exponential_ns(
+                dwell_left = exponential_draw(
                     dwell_stream, max(1, int(self.cycle_ns * fraction)))
 
 
@@ -133,9 +142,10 @@ class DiurnalArrivals(ArrivalProcess):
         return self.rate_rps * self.ramp[min(segment, len(self.ramp) - 1)]
 
     def gaps(self, rng):
+        stream = self._gap_stream(rng)
         t = 0
         while True:
-            gap = self._draw_gap(rng, self.rate_at(t))
+            gap = _gap(stream, self.rate_at(t))
             t += gap
             yield gap
 

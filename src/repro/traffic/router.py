@@ -47,7 +47,9 @@ class RequestRouter:
         self.routed = 0
         self.unroutable = 0
         self._rr_cursor = 0
-        self._known_routable = set()
+        # The last routable list: an unchanged rotation (the common
+        # case) skips the reroute bookkeeping.
+        self._routable = []
 
     # ------------------------------------------------------------------
     # Membership
@@ -57,35 +59,33 @@ class RequestRouter:
         self.replicas.append(replica)
         self.replicas.sort(key=lambda r: r.name)
 
-    def is_routable(self, replica):
-        """In rotation: live and resident on some host. ``host_of``
-        returns None both mid-migration and after a host crash, so
-        in-flight and orphaned replicas drop out until they land."""
-        return (not replica.retired
-                and self.cluster.host_of(replica.vm) is not None)
-
     def routable(self):
-        current = [r for r in self.replicas if self.is_routable(r)]
-        self._note_routable(current)
+        """Replicas in rotation, in name order: live and resident on
+        some host. A VM mid-migration or orphaned by a host crash has
+        no host, so it drops out until it lands."""
+        vm_hosts = self.cluster.vm_hosts
+        current = [r for r in self.replicas
+                   if not r.retired and r.vm in vm_hosts]
+        if current != self._routable:
+            self._note_reroutes(self._routable, current)
+            self._routable = current
         return current
 
-    def _note_routable(self, current):
+    def _note_reroutes(self, previous, current):
+        was = {r.name for r in previous}
         names = {r.name for r in current}
-        if names == self._known_routable:
-            return
         now = self.sim.now
-        for name in sorted(self._known_routable - names):
+        for name in sorted(was - names):
             self.sim.trace.count('traffic.reroute')
             if self.events is not None:
                 self.events.append(now, eventlog.EVENT_REROUTE,
                                    replica=name, reason='lost')
-        for name in sorted(names - self._known_routable):
+        for name in sorted(names - was):
             # Initial appearance is not a reroute — only log replicas
             # coming *back* after an outage.
-            if self.events is not None and self._known_routable:
+            if self.events is not None and was:
                 self.events.append(now, eventlog.EVENT_REROUTE,
                                    replica=name, reason='restored')
-        self._known_routable = names
 
     # ------------------------------------------------------------------
     # Routing
@@ -111,8 +111,16 @@ class RequestRouter:
             self._rr_cursor += 1
             return target
         if self.policy == 'least_queue':
-            return min(candidates,
-                       key=lambda r: (r.queue_depth, r.name))
+            # Candidates are in name order and only a strictly shorter
+            # queue wins, so equal depths go to the lowest name.
+            target = candidates[0]
+            best = len(target.queue.items)
+            for replica in candidates:
+                depth = len(replica.queue.items)
+                if depth < best:
+                    target = replica
+                    best = depth
+            return target
         # interference: least-interfered host first, then shortest
         # queue, then name for a deterministic total order.
         return min(candidates, key=lambda r: (

@@ -66,7 +66,7 @@ class TrafficService:
         self.injected = 0
         self._autoscaled = []        # LIFO stack of autoscaled replicas
         self._next_index = 0
-        self._gaps = None
+        self._next_gap = None
 
     # ------------------------------------------------------------------
     # Fleet lifecycle
@@ -122,9 +122,10 @@ class TrafficService:
 
     def start_traffic(self, arrivals):
         """Arm the open-loop dispatcher: the first arrival fires one
-        gap from now, and every arrival schedules the next."""
-        self._gaps = arrivals.gaps(self.sim.rng)
-        self.sim.after(next(self._gaps), self._arrive)
+        gap from now, and every arrival re-arms its own event for the
+        next."""
+        self._next_gap = arrivals.gaps(self.sim.rng).__next__
+        self.sim.after(self._next_gap(), self._arrive)
 
     def _arrive(self):
         self.injected += 1
@@ -134,7 +135,10 @@ class TrafficService:
             # mid-migration/orphaned): an open-loop client times out —
             # that is an SLO violation, not a pause in offered load.
             self.tracker.observe_shed(now)
-        self.sim.after(next(self._gaps), self._arrive)
+        # Last, after route(): the re-arm takes the next seq, exactly
+        # where the arrival always scheduled its successor, so tie
+        # order against the events route() schedules is unchanged.
+        self.sim.again(self._next_gap())
 
     # ------------------------------------------------------------------
     # Measurement

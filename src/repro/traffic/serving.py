@@ -17,6 +17,7 @@ assembly (router + many replicas) lives in :mod:`repro.traffic.scenario`.
 from ..metrics.latency import LatencyRecorder
 from ..obs import eventlog
 from ..obs.phases import PHASE_REQ_QUEUE, PHASE_REQ_SERVICE
+from ..simkernel.rng import jittered_draw
 from ..simkernel.units import MS, SEC
 from ..workloads.actions import Compute, QueueGet
 from ..workloads.sync import BoundedQueue
@@ -124,20 +125,30 @@ class ReplicaServer:
     # ------------------------------------------------------------------
 
     def _worker_loop(self, index):
-        stream = '%s.w%d' % (self.name, index)
+        # Bound once per worker: the service-time stream and every
+        # recorder a request touches.
+        sim = self.sim
+        queue = self.queue
+        stream = sim.rng.stream('%s.w%d' % (self.name, index))
+        service_ns = self.service_ns
+        jitter = self.jitter
+        record_wait = self.queue_wait.record
+        record_queue = self._queue_hist.record
+        record_latency = self.latency.record
+        record_service = self._service_hist.record
+        slo = self.slo
         while True:
-            arrived_at = yield QueueGet(self.queue)
-            picked_at = self.sim.now
-            self.queue_wait.record(picked_at - arrived_at)
-            self._queue_hist.record(picked_at - arrived_at)
-            yield Compute(self.sim.rng.jittered_ns(
-                stream, self.service_ns, self.jitter))
-            now = self.sim.now
-            self.latency.record(now - arrived_at)
-            self._service_hist.record(now - picked_at)
+            arrived_at = yield QueueGet(queue)
+            picked_at = sim.now
+            record_wait(picked_at - arrived_at)
+            record_queue(picked_at - arrived_at)
+            yield Compute(jittered_draw(stream, service_ns, jitter))
+            now = sim.now
+            record_latency(now - arrived_at)
+            record_service(now - picked_at)
             self.completed += 1
-            if self.slo is not None:
-                self.slo.observe(now, now - arrived_at)
+            if slo is not None:
+                slo.observe(now, now - arrived_at)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -319,6 +319,53 @@ class TestQuarantine:
         assert 'ghost-vm' not in daemon._last_moved
 
 
+def _residency(cluster):
+    return {vm: host for host in cluster.hosts for vm in host.resident_vms}
+
+
+class TestVmHostMap:
+    """``Cluster.host_of`` reads one vm->host map that placement,
+    migration and crash recovery keep equal to the hosts'
+    ``resident_vms``; the sanitizer checks that after every event."""
+
+    def test_map_follows_migration_and_crash(self):
+        sim = Simulator(seed=0)
+        cluster = _cluster(sim, n=2)
+        source = cluster.submit(_hog('vm0'))
+        sim.run_until(50 * MS)
+        vm = source.resident_vms[0]
+        assert cluster.vm_hosts == _residency(cluster) == {vm: source}
+        target = cluster.hosts[1]
+        cluster.migration.migrate(vm, source, target)
+        assert cluster.host_of(vm) is None       # in flight
+        assert cluster.vm_hosts == _residency(cluster) == {}
+        sim.run_until(sim.now + 1 * SEC)
+        assert cluster.host_of(vm) is target
+        # A crash orphans it and recovery re-homes it on the survivor.
+        cluster.crash_host(target, down_ns=300 * MS)
+        assert cluster.host_of(vm) is source
+        assert cluster.vm_hosts == _residency(cluster)
+
+    @pytest.mark.parametrize('corruption', ['stale', 'missing'])
+    def test_sanitizer_reports_corrupted_map(self, corruption):
+        sim = Simulator(seed=0)
+        sanitizer = install_sanitizer(sim, mode='collect')
+        cluster = _cluster(sim, n=2)
+        host = cluster.submit(_hog('vm0'))
+        sim.run_until(10 * MS)
+        vm = host.resident_vms[0]
+        sanitizer.check_now()
+        assert not sanitizer.violations
+        if corruption == 'stale':
+            cluster.vm_hosts[vm] = cluster.hosts[1]
+        else:
+            del cluster.vm_hosts[vm]
+        sanitizer.check_now()
+        assert [v.invariant for v in sanitizer.violations] \
+            == ['vm_host_map']
+        assert 'vm0' in sanitizer.violations[0].message
+
+
 class TestWallTimeoutWatchdog:
     def _specs(self, apps):
         return [cluster_spec(seed=i).replace(app=app)

@@ -47,6 +47,17 @@ class TestLogHistogram:
             low, high = LogHistogram._bucket_bounds(index)
             assert low <= value < high
 
+    def test_record_files_into_bucket_index(self):
+        # record() inlines _bucket_index; the two must agree everywhere,
+        # octave edges included.
+        values = [0, 1, SUB_BUCKETS - 1, SUB_BUCKETS, SUB_BUCKETS + 1,
+                  23_456, 10**9]
+        values += [(1 << k) + d for k in range(4, 40) for d in (-1, 0, 1)]
+        for value in values:
+            h = LogHistogram('x')
+            h.record(value)
+            assert h._buckets == {LogHistogram._bucket_index(value): 1}
+
     def test_relative_error_in_sa_band(self):
         # The paper's 20-26 us band must be resolved to ~1 us, i.e.
         # better than 1/SUB_BUCKETS relative error.

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simkernel.rng import RngRegistry
+from repro.simkernel.rng import (RngRegistry, exponential_draw,
+                                 jittered_draw)
 
 
 class TestDeterminism:
@@ -94,3 +95,34 @@ class TestJitter:
         v = reg.jittered_ns('p', base, fraction)
         spread = int(base * fraction)
         assert base - spread <= v <= base + spread
+
+
+class TestBoundDraws:
+    """A consumer that binds its stream once draws exactly what the
+    named methods draw: same stream, same formula, same bits."""
+
+    @pytest.mark.parametrize('cap_ns', [None, 1500, 1])
+    def test_exponential_matches_named(self, cap_ns):
+        named = RngRegistry(seed=3)
+        stream = RngRegistry(seed=3).stream('e')
+        for mean_ns in (1, 999, 1000, 10**7) * 50:
+            assert (exponential_draw(stream, mean_ns, cap_ns)
+                    == named.exponential_ns('e', mean_ns, cap_ns))
+
+    @pytest.mark.parametrize('base_ns, fraction', [
+        (2_000_000, 0.3), (1000, 0.1), (5, 0.1), (1000, 0.0)])
+    def test_jitter_matches_named(self, base_ns, fraction):
+        named = RngRegistry(seed=3)
+        stream = RngRegistry(seed=3).stream('j')
+        for __ in range(200):
+            assert (jittered_draw(stream, base_ns, fraction)
+                    == named.jittered_ns('j', base_ns, fraction))
+        # Both sides consumed the same draws (none at all at spread 0).
+        assert stream.random() == named.stream('j').random()
+
+    def test_bound_draws_validate(self):
+        stream = RngRegistry(seed=3).stream('x')
+        with pytest.raises(ValueError):
+            exponential_draw(stream, 0)
+        with pytest.raises(ValueError):
+            jittered_draw(stream, 0)

@@ -5,6 +5,7 @@ integration. The conftest sanitizer fixture validates scheduler
 invariants after every test."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,11 @@ from conftest import single_vm_machine
 
 pytestmark = pytest.mark.traffic
 
+# The first 200 arrival times of every process at 800 rps, seed 7,
+# recorded before the gap streams were bound once per generator.
+GOLDEN_ARRIVALS = Path(__file__).parent / 'golden' / \
+    'arrival_times_800rps_seed7.json'
+
 
 class TestArrivalDeterminism:
     @pytest.mark.parametrize('kind', ARRIVAL_KINDS)
@@ -50,6 +56,12 @@ class TestArrivalDeterminism:
         times = make_arrivals(kind, 1000).times(RngRegistry(3), 3000)
         rate = len(times) / (times[-1] / SEC)
         assert 700 <= rate <= 1400
+
+    @pytest.mark.parametrize('kind', ARRIVAL_KINDS)
+    def test_times_match_golden_prefix(self, kind):
+        golden = json.loads(GOLDEN_ARRIVALS.read_text())
+        assert make_arrivals(kind, 800).times(RngRegistry(7), 200) \
+            == golden[kind]
 
     def test_gaps_are_positive_ints(self):
         rng = RngRegistry(1)
@@ -242,6 +254,46 @@ class TestRequestRouter:
             r0.enqueue(sim.now)
         assert service.router.route(sim.now) is r1
 
+    def test_least_queue_ties_go_to_lowest_name(self, sim):
+        # Deploy order srv0..srv10, name order srv0, srv1, srv10, srv2..:
+        # equal depths must go to the lowest *name*, not the first
+        # deployed or the last scanned.
+        cluster, service, replicas = _service_cluster(
+            sim, n_hosts=6, replicas=11, router_policy='least_queue')
+        sim.run_until(10 * MS)
+        router = service.router
+        assert [r.name for r in router.routable()][:4] \
+            == ['srv0', 'srv1', 'srv10', 'srv2']
+        by_name = {r.name: r for r in replicas}
+        for name in ('srv0', 'srv1'):
+            by_name[name].queue.items.append(sim.now)
+        assert router.route(sim.now) is by_name['srv10']
+        # (An idle worker took that request, so srv10's queue is still
+        # empty.) With srv10 backed up too, srv2 is the lowest name at
+        # depth 0.
+        by_name['srv10'].queue.items.append(sim.now)
+        assert router.route(sim.now) is by_name['srv2']
+
+    def test_interference_prefers_quiet_host_then_queue(self, sim):
+        cluster, service, replicas = _service_cluster(
+            sim, replicas=5, router_policy='interference')
+        sim.run_until(10 * MS)
+        # First fit fills h0 (8 vCPUs) with srv0..srv3; srv4 lands on h1.
+        busy, quiet = cluster.hosts[0], cluster.hosts[1]
+        assert [cluster.host_of(r.vm) for r in replicas] \
+            == [busy] * 4 + [quiet]
+        scores = {host: 0.0 for host in cluster.hosts}
+        for host in cluster.hosts:
+            host.interference_score = lambda host=host: scores[host]
+        router = service.router
+        scores[busy] = 0.5
+        assert router.route(sim.now) is replicas[4]
+        # Equal scores: the shorter queue, then the lower name.
+        scores[busy] = 0.0
+        assert router.route(sim.now) is replicas[0]
+        replicas[0].queue.items.append(sim.now)
+        assert router.route(sim.now) is replicas[1]
+
     def test_unknown_policy_rejected(self, sim):
         cluster = Cluster(sim, [HostSpec('h0')], policy='first_fit',
                           rebalance=None)
@@ -284,6 +336,34 @@ class TestRequestRouter:
                    if e['kind'] == 'traffic.reroute']
         assert ('srv1', 'lost') in reasons
         assert ('srv1', 'restored') in reasons
+
+
+class TestArrivalDispatch:
+    def test_arrival_schedules_its_successor_last(self, sim):
+        # The next arrival takes the last seq of every arrival dispatch,
+        # above whatever route() scheduled (a woken worker), so the
+        # arrivals' same-instant ties keep their order.
+        cluster, service, replicas = _service_cluster(sim)
+        sim.run_until(10 * MS)
+        queue = sim._queue
+        seen = []
+
+        def hook(event):
+            if event.callback == service._arrive:
+                newest = next(e for __, seq, e in queue._heap
+                              if seq == queue._seq)
+                seen.append((newest.callback == service._arrive,
+                             queue._seq - before[0]))
+            before[0] = queue._seq
+
+        before = [queue._seq]
+        sim.add_post_event_hook(hook)
+        service.start_traffic(PoissonArrivals(2000))
+        sim.run_until(sim.now + 50 * MS)
+        assert len(seen) > 20
+        assert all(last for last, __ in seen)
+        # Not vacuous: some dispatches scheduled more than the arrival.
+        assert any(scheduled > 1 for __, scheduled in seen)
 
 
 class _FakeCluster:
