@@ -8,6 +8,8 @@ declared ratio, and never queues (arrival processes in the evaluation
 are open-loop; a queued VM would just shift the rejection later).
 """
 
+from collections import deque
+
 #: Default rejection-ledger capacity. Rejections are low-rate control-
 #: plane outcomes, but an autoscaler probing a full cluster (or a chaos
 #: campaign crashing hosts under load) can grind one out per check
@@ -20,10 +22,10 @@ class AdmissionController:
     """Capacity gate; also the rejection ledger.
 
     ``rejections`` holds the most recent ``max_rejections`` rejected
-    request names (oldest first); older entries are evicted and counted
-    in ``rejections_dropped`` — the same ring discipline as
-    :class:`~repro.obs.eventlog.EventLog`. ``rejected`` is the complete
-    count regardless of eviction.
+    request names (oldest first) in a ``deque(maxlen=max_rejections)``,
+    the ring :class:`~repro.obs.eventlog.EventLog` also uses; older
+    entries are evicted and counted in ``rejections_dropped``.
+    ``rejected`` is the complete count regardless of eviction.
     """
 
     def __init__(self, max_rejections=DEFAULT_MAX_REJECTIONS):
@@ -31,17 +33,13 @@ class AdmissionController:
             raise ValueError('max_rejections must be >= 1')
         self.admitted = 0
         self.rejected = 0
-        self.max_rejections = max_rejections
         self.rejections_dropped = 0
-        self._ring = []              # request names, in arrival order
-        self._head = 0               # ring start once wrapped
+        self._ring = deque(maxlen=max_rejections)   # request names
 
     @property
     def rejections(self):
         """Retained rejected request names, oldest first."""
-        if self._head == 0:
-            return list(self._ring)
-        return self._ring[self._head:] + self._ring[:self._head]
+        return list(self._ring)
 
     def admissible_hosts(self, hosts, request):
         """The subset of ``hosts`` (order preserved) that are accepting
@@ -55,10 +53,7 @@ class AdmissionController:
 
     def reject(self, request, sim):
         self.rejected += 1
-        if len(self._ring) < self.max_rejections:
-            self._ring.append(request.name)
-        else:
-            self._ring[self._head] = request.name
-            self._head = (self._head + 1) % self.max_rejections
+        if len(self._ring) == self._ring.maxlen:
             self.rejections_dropped += 1
+        self._ring.append(request.name)
         sim.trace.count('cluster.rejected')

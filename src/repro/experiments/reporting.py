@@ -29,13 +29,6 @@ def format_table(headers, rows, title=None):
     return '\n'.join(out)
 
 
-def format_percent(value):
-    """Signed percent string, or '--' for missing."""
-    if value is None:
-        return '--'
-    return '%+.1f%%' % value
-
-
 class FigureResult:
     """Structured output of one figure driver: headers + rows + the
     rendered table, plus a free-form dict for assertions in tests.

@@ -9,14 +9,14 @@ which action it is or how many action types exist.
 
 Handlers have the signature ``handler(gcpu, task, action) -> bool``;
 True means the action was consumed and the task may keep executing,
-False that the task blocked, spun, yielded, or otherwise lost the CPU.
+False that the task blocked, spun, or otherwise lost the CPU.
 Dispatch is on the exact class: an action type missing from the table,
 including a subclass of one in it, raises ``TypeError``.
 """
 
 from ..workloads import actions as act
 
-# Safety valve: a program may chain zero-cost actions (marks, lock ops),
+# Safety valve: a program may chain zero-cost actions (lock ops),
 # but an unbounded chain means a broken workload definition.
 MAX_ZERO_TIME_ACTIONS = 100_000
 
@@ -34,8 +34,6 @@ class ActionInterpreter:
             act.QueuePut: sync_engine.do_queue_put,
             act.QueueGet: sync_engine.do_queue_get,
             act.Sleep: self._do_sleep,
-            act.Mark: self._do_mark,
-            act.YieldCpu: self._do_yield,
         }
 
     def run(self, gcpu):
@@ -95,16 +93,4 @@ class ActionInterpreter:
         task.action = None
         self.kernel.timers.arm_sleep(task, action.duration_ns)
         self.kernel._block_current(gcpu)
-        return False
-
-    def _do_mark(self, gcpu, task, action):
-        task.action = None
-        action.callback(task, self.kernel.sim.now)
-        return True
-
-    def _do_yield(self, gcpu, task, action):
-        task.action = None
-        if gcpu.rq.nr_ready == 0:
-            return True
-        self.kernel._preempt_current(gcpu)
         return False

@@ -2,7 +2,7 @@
 
 A :class:`RunMetrics` snapshot gathers, at the end of a simulated run,
 the quantities every experiment reports: per-VM runstate breakdowns,
-per-task CPU and migration counts, and machine-level utilization.
+per-task CPU and migration counts, and the run's counters.
 
 When a run was subjected to a fault campaign (:mod:`repro.faults`),
 the snapshot also separates out the fault/degradation counters —
@@ -43,12 +43,6 @@ class VmMetrics:
         self.steal_ns = steal
         self.blocked_ns = blocked
 
-    def utilization(self, elapsed_ns):
-        """Fraction of one pCPU-equivalent per vCPU actually used."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.run_ns / (elapsed_ns * self.n_vcpus)
-
 
 class TaskMetrics:
     """Aggregate accounting for one task."""
@@ -60,12 +54,6 @@ class TaskMetrics:
         self.wakeups = task.wakeups
         self.started_at = task.started_at
         self.finished_at = task.finished_at
-
-    @property
-    def turnaround_ns(self):
-        if self.started_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
 
 
 class RunMetrics:
@@ -86,14 +74,3 @@ class RunMetrics:
         self.degradation_counters = self.registry.counter_values(
             prefixes=DEGRADATION_COUNTER_PREFIXES)
         self.phase_latencies = self.registry.histogram_summaries()
-        self.pcpu_busy_ns = [p.snapshot_busy(now) for p in machine.pcpus]
-
-    def machine_utilization(self):
-        """Mean busy fraction across pCPUs."""
-        if self.elapsed_ns <= 0 or not self.pcpu_busy_ns:
-            return 0.0
-        total = sum(self.pcpu_busy_ns)
-        return total / (self.elapsed_ns * len(self.pcpu_busy_ns))
-
-    def vm_utilization(self, vm_name):
-        return self.vms[vm_name].utilization(self.elapsed_ns)

@@ -21,6 +21,7 @@ exactly the story a post-mortem needs.
 """
 
 import json
+from collections import deque
 
 #: Default event-ring capacity. Cluster control-plane events arrive at
 #: a few hundred per simulated second, so this covers minutes of chaos.
@@ -82,8 +83,10 @@ def _jsonl_line(event):
 class EventLog:
     """Bounded, ordered sink of typed events.
 
-    Storage mirrors :class:`~repro.obs.spans.SpanRecorder`: a ring of
-    ``max_events``, oldest evicted first and counted in ``dropped``.
+    Storage is the ring every bounded log here shares (the
+    :class:`~repro.obs.spans.SpanRecorder` and the admission rejection
+    ledger use it too): a ``deque(maxlen=max_events)``, oldest evicted
+    first and counted in ``dropped``.
     Events are plain dicts so they serialize (JSONL, result summaries,
     worker pickles) without any schema machinery.
     """
@@ -91,36 +94,22 @@ class EventLog:
     def __init__(self, max_events=DEFAULT_MAX_EVENTS):
         if max_events < 1:
             raise ValueError('max_events must be >= 1')
-        self.max_events = max_events
         self.dropped = 0
-        self._ring = []
-        self._head = 0               # ring start once wrapped
+        self._ring = deque(maxlen=max_events)
 
     def append(self, time_ns, kind, **detail):
         """Record one event; returns the stored dict."""
         event = {'t': time_ns, 'kind': kind}
         event.update(detail)
-        if len(self._ring) < self.max_events:
-            self._ring.append(event)
-        else:
-            self._ring[self._head] = event
-            self._head = (self._head + 1) % self.max_events
+        if len(self._ring) == self._ring.maxlen:
             self.dropped += 1
+        self._ring.append(event)
         return event
 
     @property
     def events(self):
         """Retained events, oldest first."""
-        if self._head == 0:
-            return list(self._ring)
-        return self._ring[self._head:] + self._ring[:self._head]
-
-    def events_for(self, kind=None, vm=None, host=None):
-        """Events filtered by kind / vm name / host name."""
-        return [e for e in self.events
-                if (kind is None or e['kind'] == kind)
-                and (vm is None or e.get('vm') == vm)
-                and (host is None or e.get('host') == host)]
+        return list(self._ring)
 
     def counts(self):
         """``{kind: count}`` over retained events, sorted by kind."""
@@ -147,8 +136,7 @@ class EventLog:
         return len(self._ring)
 
     def clear(self):
-        self._ring = []
-        self._head = 0
+        self._ring.clear()
         self.dropped = 0
 
     def __len__(self):

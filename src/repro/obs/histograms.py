@@ -19,7 +19,6 @@ This module is dependency-free on purpose: :mod:`repro.simkernel.tracing`
 imports it, so it must not import anything from the simkernel.
 """
 
-import math
 from collections import Counter
 
 #: Linear sub-buckets per power-of-two octave. 16 gives <= ~6% relative
@@ -205,22 +204,6 @@ class LogHistogram:
             'min': self.min if self.min is not None else 0,
             'max': self.max if self.max is not None else 0,
         }
-
-    def merge(self, other):
-        """Fold ``other``'s samples into this histogram."""
-        if other.count == 0:
-            return self
-        self.count += other.count
-        self.sum += other.sum
-        if self.min is None or (other.min is not None
-                                and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None
-                                and other.max > self.max):
-            self.max = other.max
-        for index, n in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + n
-        return self
 
     def copy(self, name=None):
         clone = LogHistogram(name or self.name)

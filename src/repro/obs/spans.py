@@ -14,6 +14,8 @@ edges (never per-event paths), which is what keeps the disabled-mode
 budget of ``benchmarks/test_obs_overhead.py`` comfortably under 2%.
 """
 
+from collections import deque
+
 from .histograms import MetricsRegistry
 
 #: Default completed-span ring capacity.
@@ -53,11 +55,9 @@ class SpanRecorder:
         if max_spans < 1:
             raise ValueError('max_spans must be >= 1')
         self.enabled = enabled
-        self.max_spans = max_spans
         self.registry = registry if registry is not None else MetricsRegistry()
         self.dropped = 0
-        self._ring = []
-        self._head = 0               # ring start when wrapped
+        self._ring = deque(maxlen=max_spans)
         self._open = {}              # track -> stack of open Spans
 
     # ------------------------------------------------------------------
@@ -130,16 +130,13 @@ class SpanRecorder:
             # Truncated spans (end-of-run flush) skip the histogram:
             # they measure the run boundary, not the protocol.
             self.registry.histogram(span.phase).record(span.duration_ns)
-        if len(self._ring) < self.max_spans:
-            self._ring.append(span)
-        else:
-            self._ring[self._head] = span
-            self._head = (self._head + 1) % self.max_spans
+        if len(self._ring) == self._ring.maxlen:
             self.dropped += 1
             # Mirrored into the registry so end-of-run snapshots (and
             # the sa-latency / cluster-health reports) can warn that
             # the ring saturated instead of failing silently.
             self.registry.count('spans.dropped')
+        self._ring.append(span)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -148,9 +145,7 @@ class SpanRecorder:
     @property
     def spans(self):
         """Completed spans, oldest first (the retained window)."""
-        if self._head == 0:
-            return list(self._ring)
-        return self._ring[self._head:] + self._ring[:self._head]
+        return list(self._ring)
 
     def spans_for(self, phase=None, track=None):
         return [s for s in self.spans
@@ -175,8 +170,7 @@ class SpanRecorder:
         self._open.clear()
 
     def clear(self):
-        self._ring = []
-        self._head = 0
+        self._ring.clear()
         self._open.clear()
         self.dropped = 0
 

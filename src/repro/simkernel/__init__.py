@@ -14,7 +14,7 @@ from .sanitizer import (
 )
 from .simulation import LivelockError, SimulationError, Simulator
 from .tracing import Tracer
-from .units import MICROSECOND, MILLISECOND, MS, NS, SEC, SECOND, US, format_ns
+from .units import MICROSECOND, MILLISECOND, MS, NS, SEC, SECOND, US
 
 __all__ = [
     'Event',
@@ -35,5 +35,4 @@ __all__ = [
     'install_sanitizer',
     'Tracer',
     'US',
-    'format_ns',
 ]

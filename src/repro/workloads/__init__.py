@@ -7,12 +7,10 @@ from .actions import (
     Acquire,
     BarrierWait,
     Compute,
-    Mark,
     QueueGet,
     QueuePut,
     Release,
     Sleep,
-    YieldCpu,
 )
 from .hogs import HogWorkload
 from .program import (
@@ -47,10 +45,10 @@ __all__ = [
     'Acquire', 'actions', 'ALL_PROFILES', 'ApacheBenchWorkload',
     'Barrier', 'barrier_phases', 'BarrierWait', 'BoundedQueue',
     'Compute', 'compute_chunks', 'cpu_hog', 'get_profile', 'HogWorkload',
-    'Mark', 'Mutex', 'mutex_loop', 'NPB', 'OpenLoopServerWorkload',
+    'Mutex', 'mutex_loop', 'NPB', 'OpenLoopServerWorkload',
     'ParallelWorkload', 'PARSEC',
     'PIPELINE_STOP', 'pipeline_sink', 'pipeline_source', 'pipeline_stage',
     'profile_variant', 'QueueGet', 'QueuePut', 'Release', 'ServerWorkload',
     'Sleep', 'SpecJbbWorkload', 'SpinLock', 'sync', 'WorkloadProfile',
-    'work_steal_worker', 'YieldCpu',
+    'work_steal_worker',
 ]

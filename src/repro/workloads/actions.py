@@ -101,24 +101,3 @@ class Sleep(Action):
     def __repr__(self):
         return 'Sleep(%d)' % self.duration_ns
 
-
-class Mark(Action):
-    """Invoke ``callback(task, now_ns)`` — zero-cost instrumentation
-    point used by workloads to timestamp request boundaries."""
-
-    __slots__ = ('callback',)
-
-    def __init__(self, callback):
-        self.callback = callback
-
-    def __repr__(self):
-        return 'Mark(%s)' % getattr(self.callback, '__name__', 'fn')
-
-
-class YieldCpu(Action):
-    """Voluntarily yield the CPU (sched_yield)."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return 'YieldCpu()'

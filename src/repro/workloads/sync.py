@@ -53,11 +53,6 @@ class Mutex:
         self.owner = None
         return None
 
-    def abandon_wait(self, task):
-        """Remove a waiter (task teardown paths)."""
-        if task in self.waiters:
-            self.waiters.remove(task)
-
 
 class SpinLock:
     """Spinning mutual-exclusion lock.

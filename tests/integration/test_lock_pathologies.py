@@ -11,7 +11,6 @@ from repro.simkernel.units import MS, SEC, US
 from repro.workloads import (
     Acquire,
     Compute,
-    Mark,
     Mutex,
     Release,
     SpinLock,
@@ -45,11 +44,9 @@ class TestLockHolderPreemption:
         def locker(n):
             for __ in range(n):
                 yield Compute(1 * MS)
-                started = [None]
-                yield Mark(lambda t, now, s=started: s.__setitem__(0, now))
+                started = sim.now
                 yield Acquire(lock)
-                yield Mark(lambda t, now, s=started:
-                           waits.append(now - s[0]))
+                waits.append(sim.now - started)
                 yield Compute(100 * US)
                 yield Release(lock)
         for i in range(4):
@@ -73,11 +70,9 @@ class TestLockHolderPreemption:
         def locker(n):
             for __ in range(n):
                 yield Compute(1 * MS)
-                started = [None]
-                yield Mark(lambda t, now, s=started: s.__setitem__(0, now))
+                started = sim.now
                 yield Acquire(lock)
-                yield Mark(lambda t, now, s=started:
-                           waits.append(now - s[0]))
+                waits.append(sim.now - started)
                 yield Compute(100 * US)
                 yield Release(lock)
         for i in range(4):

@@ -229,8 +229,8 @@ class TestResultCache:
         assert _delta(after, mid, 'runcache.hit') == 1
         assert _delta(after, mid, 'executor.dispatched') == 0
         assert second.makespan_ns == first.makespan_ns
-        assert second.metrics.vm_utilization('fg') == pytest.approx(
-            first.metrics.vm_utilization('fg'))
+        assert (second.metrics.vms['fg'].run_ns
+                == first.metrics.vms['fg'].run_ns)
 
     def test_spec_change_invalidates(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))

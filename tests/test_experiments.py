@@ -12,7 +12,7 @@ from repro.experiments import (
     run_parallel,
     run_server,
 )
-from repro.experiments.reporting import FigureResult, format_percent
+from repro.experiments.reporting import FigureResult
 from repro.simkernel.units import MS, SEC
 
 
@@ -156,11 +156,6 @@ class TestReporting:
     def test_format_table_title(self):
         table = format_table(['h'], [['x']], title='My Figure')
         assert table.startswith('My Figure\n=========')
-
-    def test_format_percent(self):
-        assert format_percent(None) == '--'
-        assert format_percent(12.34) == '+12.3%'
-        assert format_percent(-5.0) == '-5.0%'
 
     def test_figure_result_table(self):
         result = FigureResult('Fig X', ['a'], [['1']], notes={'k': 1})

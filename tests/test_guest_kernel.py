@@ -12,14 +12,12 @@ from repro.workloads import (
     BarrierWait,
     BoundedQueue,
     Compute,
-    Mark,
     Mutex,
     QueueGet,
     QueuePut,
     Release,
     Sleep,
     SpinLock,
-    YieldCpu,
 )
 
 from conftest import single_vm_machine
@@ -61,16 +59,6 @@ class TestBasicExecution:
         assert abs(a.cpu_ns - b.cpu_ns) < 100 * MS
         assert a.cpu_ns + b.cpu_ns > 990 * MS
 
-    def test_mark_callback_runs_at_sim_time(self, sim):
-        machine, vm, kernel = single_vm_machine(sim)
-        stamps = []
-        program = iter([Compute(2 * MS),
-                        Mark(lambda t, now: stamps.append(now)),
-                        Compute(1 * MS)])
-        kernel.spawn('t', program)
-        sim.run_until(1 * SEC)
-        assert stamps == [2 * MS]
-
     def test_zero_compute_is_legal(self, sim):
         machine, vm, kernel = single_vm_machine(sim)
         done = []
@@ -78,30 +66,6 @@ class TestBasicExecution:
                      on_exit=lambda t, now: done.append(now))
         sim.run_until(1 * SEC)
         assert done == [1 * MS]
-
-    def test_yield_with_empty_queue_continues(self, sim):
-        machine, vm, kernel = single_vm_machine(sim)
-        done = []
-        kernel.spawn('t', iter([Compute(1 * MS), YieldCpu(),
-                                Compute(1 * MS)]),
-                     on_exit=lambda t, now: done.append(now))
-        sim.run_until(1 * SEC)
-        assert done == [2 * MS]
-
-    def test_yield_rotates_to_other_task(self, sim):
-        machine, vm, kernel = single_vm_machine(sim)
-        order = []
-
-        def yielder(name):
-            yield Compute(100 * US)
-            order.append(name + '.before')
-            yield YieldCpu()
-            order.append(name + '.after')
-            yield Compute(100 * US)
-        kernel.spawn('a', yielder('a'), gcpu_index=0)
-        kernel.spawn('b', yielder('b'), gcpu_index=0)
-        sim.run_until(1 * SEC)
-        assert set(order) == {'a.before', 'a.after', 'b.before', 'b.after'}
 
 
 class TestSleep:
@@ -148,20 +112,14 @@ class TestMutexBehaviour:
         active = [0]
         overlaps = []
 
-        def enter(t, now):
-            active[0] += 1
-            overlaps.append(active[0])
-
-        def leave(t, now):
-            active[0] -= 1
-
         def worker():
             for __ in range(20):
                 yield Compute(200 * US)
                 yield Acquire(m)
-                yield Mark(enter)
+                active[0] += 1
+                overlaps.append(active[0])
                 yield Compute(100 * US)
-                yield Mark(leave)
+                active[0] -= 1
                 yield Release(m)
         kernel.spawn('a', worker(), gcpu_index=0)
         kernel.spawn('b', worker(), gcpu_index=1)
@@ -192,7 +150,7 @@ class TestMutexBehaviour:
         def worker(name, delay):
             yield Compute(delay)
             yield Acquire(m)
-            yield Mark(lambda t, now: order.append(name))
+            order.append(name)
             yield Compute(5 * MS)
             yield Release(m)
         for i in range(4):
@@ -243,7 +201,7 @@ class TestBarrierBehaviour:
         def worker(name, work_ns):
             yield Compute(work_ns)
             yield BarrierWait(bar)
-            yield Mark(lambda t, now: passed.append((name, now)))
+            passed.append((name, sim.now))
             yield Compute(1 * MS)
         kernel.spawn('fast', worker('fast', 1 * MS), gcpu_index=0)
         kernel.spawn('slow', worker('slow', 9 * MS), gcpu_index=1)
@@ -398,11 +356,14 @@ class TestExitAndErrors:
     def test_zero_time_action_livelock_detected(self, sim):
         machine, vm, kernel = single_vm_machine(sim)
 
-        def endless_marks():
+        m = Mutex()
+
+        def endless_lock_ops():
             while True:
-                yield Mark(lambda t, now: None)
+                yield Acquire(m)
+                yield Release(m)
         with pytest.raises(RuntimeError):
-            kernel.spawn('t', endless_marks())
+            kernel.spawn('t', endless_lock_ops())
 
     def test_empty_program_exits_immediately(self, sim):
         machine, vm, kernel = single_vm_machine(sim)

@@ -45,17 +45,6 @@ class TestRing:
         with pytest.raises(ValueError):
             EventLog(max_events=0)
 
-    def test_events_for_filters(self):
-        log = EventLog()
-        log.append(1, EVENT_PLACE, vm='a', host='h0')
-        log.append(2, EVENT_PLACE, vm='b', host='h1')
-        log.append(3, EVENT_ORPHANED, vm='a', host='h0')
-        assert len(log.events_for(kind=EVENT_PLACE)) == 2
-        assert len(log.events_for(vm='a')) == 2
-        assert len(log.events_for(host='h0')) == 2
-        assert log.events_for(kind=EVENT_PLACE, vm='b',
-                              host='h1')[0]['t'] == 2
-
     def test_counts_sorted_by_kind(self):
         log = EventLog()
         log.append(1, 'z.kind')

@@ -83,24 +83,6 @@ class TestLogHistogram:
         with pytest.raises(ValueError):
             h.percentile(101)
 
-    def test_merge(self):
-        a = LogHistogram('a')
-        b = LogHistogram('b')
-        for v in (10, 20, 30):
-            a.record(v * US)
-        for v in (40, 50):
-            b.record(v * US)
-        a.merge(b)
-        assert a.count == 5
-        assert a.min == 10 * US
-        assert a.max == 50 * US
-
-    def test_merge_empty_is_noop(self):
-        a = LogHistogram('a')
-        a.record(5)
-        a.merge(LogHistogram('b'))
-        assert a.count == 1
-
     def test_copy_is_independent(self):
         a = LogHistogram('a')
         a.record(5)

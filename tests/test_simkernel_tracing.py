@@ -4,7 +4,6 @@ import pytest
 
 from repro.simkernel import Simulator
 from repro.simkernel.tracing import Tracer
-from repro.simkernel.units import MS, SEC, format_ns
 
 
 class TestCounters:
@@ -60,11 +59,3 @@ class TestObservabilityHooks:
         span = t.spans.begin(0, 'sa.offer', 'v0')
         t.spans.end(23_000, span)
         assert t.metrics.histogram('sa.offer').count == 1
-
-
-class TestUnits:
-    def test_format_ns_picks_unit(self):
-        assert format_ns(500) == '500ns'
-        assert format_ns(1500) == '1.500us'
-        assert format_ns(30 * MS) == '30.000ms'
-        assert format_ns(2 * SEC) == '2.000s'

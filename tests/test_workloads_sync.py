@@ -66,14 +66,6 @@ class TestMutex:
         assert m.total_acquires == 2
         assert m.contended_acquires == 1
 
-    def test_abandon_wait(self):
-        m = Mutex()
-        a, b = task('a'), task('b')
-        m.acquire(a)
-        m.acquire(b)
-        m.abandon_wait(b)
-        assert m.release(a) is None
-
 
 class TestSpinLock:
     def test_uncontended(self):
