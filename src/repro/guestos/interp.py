@@ -21,6 +21,11 @@ from ..workloads import actions as act
 MAX_ZERO_TIME_ACTIONS = 100_000
 
 
+def _livelock(task, guard):
+    return RuntimeError('%s chained %d zero-time actions; add Compute steps'
+                        % (task.name, guard))
+
+
 class ActionInterpreter:
     """Table-dispatched executor for one-shot workload actions."""
 
@@ -60,15 +65,18 @@ class ActionInterpreter:
                     task.remaining_ns = action.duration_ns
             if isinstance(action, act.Compute):
                 if task.remaining_ns <= 0:
+                    # A drained (or zero-length) segment is a zero-time
+                    # step too: Compute(0) forever must hit the guard.
                     task.action = None
+                    guard += 1
+                    if guard > MAX_ZERO_TIME_ACTIONS:
+                        raise _livelock(task, guard)
                     continue
                 kernel.ticks.arm_quantum(gcpu)
                 return
             guard += 1
             if guard > MAX_ZERO_TIME_ACTIONS:
-                raise RuntimeError(
-                    '%s chained %d zero-time actions; add Compute steps'
-                    % (task.name, guard))
+                raise _livelock(task, guard)
             if not self.execute(gcpu, task, action):
                 return
             if gcpu.current is not task:

@@ -183,6 +183,22 @@ class GuestKernel:
             gcpu.tick_event.cancel()
         gcpu.run_started_at = None
 
+    def resume_spinning(self, vcpu):
+        """A directed yield handed ``vcpu`` its pCPU straight back: do
+        what :meth:`vcpu_stopped_running` and then
+        :meth:`vcpu_started_running` do to a spinning current task
+        (checkpoint, cancel the quantum and tick, re-arm the tick), and
+        return True. Returns False, changing nothing, when the start
+        would do more: stopper work is queued, or no task spins."""
+        gcpu = vcpu.gcpu
+        task = gcpu.current
+        if gcpu.pending_work or task is None or not task.spinning:
+            return False
+        self.vcpu_stopped_running(vcpu)
+        gcpu.run_started_at = self.sim.now
+        self.ticks.arm_tick(gcpu)
+        return True
+
     def deliver_virq(self, vcpu, virq):
         """A virtual interrupt arrived for ``vcpu``."""
         if self.sa_receiver is not None:

@@ -60,7 +60,8 @@ class TickDriver:
 
     def arm_quantum(self, gcpu):
         # Re-arms the handle _on_quantum fired; a pending one is
-        # cancelled first, and rearm() replaces a cancelled handle.
+        # cancelled first, and rearm() re-keys it (or replaces it, if
+        # the new segment ends earlier).
         event = gcpu.quantum_event
         if event is not None:
             event.cancel()

@@ -308,6 +308,33 @@ class CreditScheduler:
         if not deferred:
             self._dispatch(pcpu, candidate)
 
+    def yield_in_place(self, vcpu):
+        """Resolve the directed yield of running ``vcpu`` in one step
+        when :meth:`_switch` would dispatch it straight back, and return
+        True: the guest half (``resume_spinning``), then the preemption
+        counts, the runstate charge, the new slice and the
+        delay-preemption reset, as :meth:`_dispatch` does them. Returns
+        False, changing nothing, when the switch could do more: another
+        vCPU is the pick, a steal path is installed, an SA preemption is
+        parked, a vIRQ is pended, or the guest has more to do than
+        resume a spinning task."""
+        pcpu = vcpu.pcpu
+        machine = self.machine
+        guest = vcpu.vm.guest
+        if (pcpu.preempt_deferred or vcpu.pending_virqs
+                or machine.hv_balancer is not None or guest is None
+                or pcpu.peek_best(vcpu) is not vcpu
+                or not guest.resume_spinning(vcpu)):
+            return False
+        now = self.sim.now
+        vcpu.preemptions += 1
+        self.sim.trace.count('hv.preemptions')
+        vcpu.set_runstate(RUNSTATE_RUNNING, now)
+        vcpu.slice_start = now
+        if machine.delay_preempt is not None:
+            machine.delay_preempt.on_dispatch(vcpu)
+        return True
+
     def _schedule(self, pcpu):
         """Dispatch the best runnable vCPU on an idle ``pcpu``."""
         if pcpu.current is None and not pcpu.preempt_deferred:

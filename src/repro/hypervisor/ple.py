@@ -47,4 +47,10 @@ class PleMonitor:
         # strategies and the exit is a hardware event, not a scheduler
         # preemption decision.
         self.sim.trace.count('ple.exits')
-        self.machine.scheduler.force_yield(vcpu)
+        scheduler = self.machine.scheduler
+        if scheduler.yield_in_place(vcpu):
+            # The spin goes on: re-arm this window, as on_spin_start
+            # would after a full switch.
+            self.sim.again(self.window_ns)
+        else:
+            scheduler.force_yield(vcpu)

@@ -11,6 +11,8 @@ two-level scheduler:
 * no task is lost or duplicated across migrations: every spawned task
   is exactly one of current / queued / sleeping / migrating / exited;
 * the clock is monotone;
+* a pending guest tick, compute quantum or PLE window is due no earlier
+  than now, still queued, and on a running vCPU ("timer_handles");
 * credits are conserved within the scheduler's clip band
   ``[-credit_cap, credit_cap]``.
 
@@ -316,6 +318,7 @@ class Sanitizer:
         current_tasks = set()
         queued_tasks = set()
         for gcpu in kernel.gcpus:
+            self._check_timer_handles(gcpu, event)
             task = gcpu.current
             if task is not None:
                 if task.state != 'running':
@@ -355,6 +358,33 @@ class Sanitizer:
                 self._fail('no_lost_or_dup_tasks',
                            '%s claims ready but is queued nowhere (lost '
                            'across migration)' % task.name, event)
+
+    def _check_timer_handles(self, gcpu, event):
+        """A pending guest tick, compute quantum or PLE window is due
+        no earlier than now, still holds its heap entry (a re-keyed
+        handle included), and belongs to a running vCPU: every switch
+        away cancels all three."""
+        vcpu = gcpu.vcpu
+        now = self.sim.now
+        queue = self.sim._queue
+        for name, handle in (('tick', gcpu.tick_event),
+                             ('quantum', gcpu.quantum_event),
+                             ('PLE window', vcpu.ple_window)):
+            if handle is None or not handle.pending:
+                continue
+            if handle.time < now:
+                self._fail('timer_handles',
+                           '%s %s pending at t=%d, before now'
+                           % (gcpu.name, name, handle.time), event)
+            if handle._queue is not queue:
+                self._fail('timer_handles',
+                           '%s %s pending but detached from the event '
+                           'queue' % (gcpu.name, name), event)
+            if not vcpu.is_running:
+                self._fail('timer_handles',
+                           '%s %s pending on %s vCPU %s'
+                           % (gcpu.name, name, vcpu.runstate, vcpu.name),
+                           event)
 
     def _check_cluster(self, cluster, event):
         residency = {}               # vm -> [host names]

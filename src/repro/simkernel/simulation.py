@@ -7,9 +7,9 @@ deterministic: given the same seed and model, two runs produce identical
 event sequences.
 """
 
-from heapq import heappop, heappush
+from heapq import heappush
 
-from .events import Event, EventQueue
+from .events import Event, EventQueue, settle_head
 from .rng import RngRegistry
 from .tracing import Tracer
 
@@ -109,32 +109,45 @@ class Simulator:
         """Schedule ``callback(*args)`` ``delay`` ns from now through
         ``handle``; return the scheduled handle.
 
-        A fired ``handle`` is reused in place: it takes the new time and
-        the next ``seq`` (the same counter as :meth:`after`), so a
-        periodic timer costs no allocation per period. ``None`` or a
-        cancelled handle gets a fresh :class:`Event`, since a cancelled
-        handle still has a stale heap entry that reuse would revive. A
-        still-pending handle raises :class:`SimulationError`."""
+        The handle takes the new time and the next ``seq`` (the same
+        counter as :meth:`after`), so a timer costs no allocation per
+        period:
+
+        * a cancelled handle whose stale heap entry is still queued is
+          *re-keyed*: nothing is pushed, and the stale entry is pushed
+          back at the new key when it reaches the head
+          (``events.settle_head``). Only a re-key to a time not earlier
+          than the handle's own is safe that way, so an earlier one gets
+          a fresh :class:`Event` instead;
+        * a fired handle, or a cancelled one whose entry is gone, is
+          reused with a push;
+        * ``None`` gets a fresh :class:`Event`;
+        * a still-pending handle raises :class:`SimulationError`."""
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
+        if handle is not None and not (handle.fired or handle.cancelled):
+            raise SimulationError('cannot re-arm pending %r' % (handle,))
         queue = self._queue
         time = self.now + delay
-        if handle is None or handle.cancelled:
-            seq = queue._seq = queue._seq + 1
+        seq = queue._seq = queue._seq + 1
+        queue._live += 1
+        # A cancelled handle whose stale entry is still queued.
+        stale = (handle is not None and handle.cancelled
+                 and handle._queue is not None)
+        if handle is None or stale and time < handle.time:
             handle = Event(time, seq, callback, args, queue)
-        elif handle.fired:
-            seq = queue._seq = queue._seq + 1
+        else:
             handle.time = time
             handle.seq = seq
             handle.callback = callback
             handle.args = args
-            handle.fired = False
-            # EventQueue.clear detaches the handles it drops.
+            handle.fired = handle.cancelled = False
+            if stale:
+                # Re-keyed: settle_head pushes the stale entry back.
+                return handle
+            # A dropped entry (or EventQueue.clear) detached the handle.
             handle._queue = queue
-        else:
-            raise SimulationError('cannot re-arm pending %r' % (handle,))
         heappush(queue._heap, (time, seq, handle))
-        queue._live += 1
         return handle
 
     def again(self, delay):
@@ -228,19 +241,24 @@ class Simulator:
         self._stopped = False
         heap = self._queue._heap
         step = self.step
-        # The heap head is inspected once per event here; step() then
-        # pops that same (live) head.
+        # The heap head is inspected once per event here (a stale one
+        # is settled first); step() then pops that same (live) head.
         while not self._stopped:
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-            if not heap or heap[0][0] > end_time:
-                self.now = max(self.now, end_time)
-                break
-            step()
-            processed += 1
-            if max_events is not None and processed > max_events:
-                raise LivelockError(max_events, 'before %d' % end_time,
-                                    self._queue, self.now)
+            if heap:
+                entry = heap[0]
+                if entry[1] != entry[2].seq:
+                    settle_head(heap)
+                    continue
+                if entry[0] <= end_time:
+                    step()
+                    processed += 1
+                    if max_events is not None and processed > max_events:
+                        raise LivelockError(max_events,
+                                            'before %d' % end_time,
+                                            self._queue, self.now)
+                    continue
+            self.now = max(self.now, end_time)
+            break
         return processed
 
     def run_until_idle(self, max_events=10_000_000):

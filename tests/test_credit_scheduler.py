@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments import apply_strategy
 from repro.hypervisor import Machine, VM
+from repro.hypervisor.balancer import HypervisorBalancer
+from repro.hypervisor.channels import VIRQ_TIMER
 from repro.hypervisor.vcpu import PRI_BOOST, PRI_OVER, PRI_UNDER
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
@@ -248,3 +250,125 @@ class TestSwitch:
         assert tick.time == expiry + kernel.policy.config.tick_ns
         assert spinner.ple_window.pending
         assert spinner.ple_window.time == expiry + 50 * US
+
+
+def _key(handle):
+    return None if handle is None else (handle.time, handle.seq,
+                                        handle.pending)
+
+
+def _snapshot(sim, machine, kernel):
+    """Every value a PLE exit can touch, by name."""
+    vcpus = [vcpu for vm in machine.vms for vcpu in vm.vcpus]
+    return {
+        'now': sim.now,
+        'seq': sim._queue._seq,
+        'live': len(sim._queue),
+        'counters': dict(sim.trace.counters),
+        'pcpus': [(p.current and p.current.name, [v.name for v in p.runq],
+                   p.preempt_deferred, p.busy_ns) for p in machine.pcpus],
+        'vcpus': [(v.name, v.runstate, v.run_ns, v.steal_ns, v.preemptions,
+                   v.slice_start, v.priority, list(v.pending_virqs),
+                   _key(v.ple_window))
+                  for v in vcpus],
+        'gcpus': [(g.name, g.busy_ns, g.rq.min_vruntime, g.run_started_at,
+                   len(g.pending_work), _key(g.tick_event),
+                   _key(g.quantum_event))
+                  for g in kernel.gcpus],
+        'tasks': [(t.name, t.state, t.vruntime, t.cpu_ns, t.spinning)
+                  for t in kernel.tasks],
+    }
+
+
+def _spinner_at_its_window(queued, spinner_priority, case):
+    """A PLE machine whose vCPU ``par.v0`` spins on pCPU 0, one ns
+    before its window expires, with ``queued`` (priority, co-stopped)
+    vCPUs of another VM on pCPU 0's runqueue and ``case`` applied."""
+    sim = Simulator(seed=1)
+    machine = Machine(sim, n_pcpus=2)
+    apply_strategy(machine, 'ple')
+    vm, kernel = build_vm(sim, machine, 'par', n_vcpus=2, pinning=[0, 1])
+    others = VM('q', max(len(queued), 1), sim)
+    machine.add_vm(others, pinning=[0] * others.n_vcpus)
+    lock = SpinLock('l')
+
+    def holder():
+        yield Acquire(lock)
+        yield Compute(1 * SEC)
+        yield Release(lock)
+
+    def waiter():
+        yield Compute(300 * US)
+        yield Acquire(lock)
+        yield Release(lock)
+    kernel.spawn('holder', holder(), gcpu_index=1)
+    kernel.spawn('waiter', waiter(), gcpu_index=0)
+    machine.start()
+    spinner, pcpu = vm.vcpus[0], machine.pcpus[0]
+    sim.run_until(400 * US)
+    expiry = spinner.ple_window.time
+    sim.run_until(expiry - 1)
+    for vcpu, (priority, costopped) in zip(others.vcpus, queued):
+        vcpu.set_runstate('runnable', sim.now)
+        vcpu.priority, vcpu.costopped = priority, costopped
+        pcpu.runq.append(vcpu)
+    spinner.priority = spinner_priority
+    if case == 'virq':
+        spinner.pending_virqs.append(VIRQ_TIMER)
+    elif case == 'balancer':
+        machine.hv_balancer = HypervisorBalancer(machine)
+    elif case == 'deferred':
+        pcpu.preempt_deferred = True
+    elif case == 'stopper':
+        spinner.gcpu.pending_work.append(lambda: None)
+    return sim, machine, kernel, spinner, pcpu, expiry
+
+
+class TestInPlacePleExit:
+    @settings(max_examples=60, deadline=None)
+    @given(queued=st.lists(st.tuples(_PRIORITIES, st.booleans()),
+                           max_size=3),
+           spinner_priority=_PRIORITIES,
+           case=st.sampled_from(['plain', 'virq', 'balancer', 'deferred',
+                                 'stopper']))
+    def test_matches_force_yield_then_window_rearm(
+            self, queued, spinner_priority, case):
+        """A PLE exit leaves the machine as ``force_yield`` followed by
+        the window re-arm of ``on_spin_start`` does, and takes the
+        one-step path exactly when the yield re-picks the spinner with
+        nothing else to do (no better vCPU, vIRQ, steal path, parked SA
+        preemption or stopper work)."""
+        fired = _spinner_at_its_window(queued, spinner_priority, case)
+        sim, machine, kernel, spinner, pcpu, expiry = fired
+        reference = _spinner_at_its_window(queued, spinner_priority, case)
+        ref_sim, ref_machine, ref_kernel, ref_spinner = reference[:4]
+
+        def force_yield_exit(vcpu):
+            # The full switch: a re-picked spinner's guest start runs
+            # its task, whose spin re-arms the window (on_spin_start).
+            ref_sim.trace.count('ple.exits')
+            ref_machine.scheduler.force_yield(vcpu)
+        ref_spinner.ple_window.callback = force_yield_exit
+        switches = []
+        switch = machine.scheduler._switch
+        machine.scheduler._switch = lambda *a: (switches.append(a),
+                                                switch(*a))
+        in_place = (case == 'plain'
+                    and pcpu.peek_best(spinner) is spinner)
+
+        exits = sim.trace.counters['ple.exits']
+
+        sim.run_until(expiry)
+        ref_sim.run_until(expiry)
+
+        assert sim.trace.counters['ple.exits'] == exits + 1
+        assert (switches == []) == in_place
+        assert _snapshot(sim, machine, kernel) == _snapshot(
+            ref_sim, ref_machine, ref_kernel)
+        if in_place:
+            assert pcpu.current is spinner and spinner.ple_window.pending
+            assert spinner.ple_window.time == expiry + 50 * US
+        sim.run_until(expiry + 3 * MS)
+        ref_sim.run_until(expiry + 3 * MS)
+        assert _snapshot(sim, machine, kernel) == _snapshot(
+            ref_sim, ref_machine, ref_kernel)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.guestos.interp import MAX_ZERO_TIME_ACTIONS
 from repro.guestos.task import TASK_EXITED, TASK_SLEEPING
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
@@ -364,6 +365,14 @@ class TestExitAndErrors:
                 yield Release(m)
         with pytest.raises(RuntimeError):
             kernel.spawn('t', endless_lock_ops())
+
+    def test_zero_length_compute_livelock_detected(self, sim):
+        """Zero-length ``Compute`` steps count toward the guard too; the
+        program is finite, so a missing count ends it without a hang."""
+        machine, vm, kernel = single_vm_machine(sim)
+        steps = [Compute(0)] * (MAX_ZERO_TIME_ACTIONS + 5) + [Compute(1000)]
+        with pytest.raises(RuntimeError, match='zero-time actions'):
+            kernel.spawn('t', iter(steps))
 
     def test_empty_program_exits_immediately(self, sim):
         machine, vm, kernel = single_vm_machine(sim)

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simkernel.events import Event, EventQueue
+from repro.simkernel import Simulator
+from repro.simkernel.events import CANCELLED_SEQ, Event, EventQueue
 
 
 def make_queue():
@@ -115,6 +116,51 @@ class TestPeek:
         assert q.peek_time() == 3
         assert q.peek_time() == 3
         assert len(q) == 1
+
+
+class TestRekeyedHeads:
+    """A handle cancelled and re-keyed by ``Simulator.rearm`` keeps one
+    stale heap entry; every reader of the head pushes it back at the
+    handle's current key, and the diagnostics list the current key."""
+
+    def _rekeyed(self):
+        sim = Simulator()
+        queue = sim._queue
+        handle = sim.after(10, lambda: None)
+        other = sim.after(15, lambda: None)
+        handle.cancel()
+        assert handle.seq == CANCELLED_SEQ
+        assert sim.rearm(handle, 20, lambda: None) is handle
+        return queue, handle, other
+
+    def test_pop_pushes_a_stale_head_back(self):
+        queue, handle, other = self._rekeyed()
+        assert queue.pop() is other
+        assert queue._heap == [(20, 3, handle)]
+        assert queue.pop() is handle and handle.fired
+        assert queue.pop() is None and len(queue) == 0
+
+    def test_peek_time_reports_the_current_key(self):
+        queue, handle, other = self._rekeyed()
+        other.cancel()
+        assert queue.peek_time() == 20
+        assert queue._heap == [(20, 3, handle)]
+        assert len(queue) == 1
+
+    def test_peek_events_lists_the_current_key(self):
+        queue, handle, other = self._rekeyed()
+        assert queue.peek_events(5) == [other, handle]
+        assert [(e.time, e.seq) for e in queue.peek_events(5)] == [
+            (15, 2), (20, 3)]
+        # Stale entry untouched: diagnostics do not settle the heap.
+        assert queue._heap[0] == (10, 1, handle)
+
+    def test_cancelled_head_detaches_its_handle(self):
+        queue, handle, other = self._rekeyed()
+        handle.cancel()
+        assert queue.pop() is other
+        assert handle._queue is None and not queue._heap
+        assert len(queue) == 0
 
 
 class TestClear:

@@ -157,6 +157,34 @@ class TestCatchesCorruption:
                                    'no_task_queued_and_running')
                    for v in sanitizer.violations)
 
+    @pytest.mark.parametrize('corruption', ['past', 'detached',
+                                            'descheduled'])
+    def test_stray_timer_handle_detected(self, corruption):
+        sim, sanitizer, machine, kernel = sanitized_machine(mode='collect')
+        kernel.spawn('a', hog(), gcpu_index=0)
+        machine.start()
+        sim.run_until(10 * MS)
+        sanitizer.check_now()
+        assert sanitizer.violations == []
+        gcpu = kernel.gcpus[0]
+        tick = gcpu.tick_event
+        assert tick.pending
+        if corruption == 'past':
+            tick.time = sim.now - 1
+            expected = 'before now'
+        elif corruption == 'detached':
+            tick._queue = None
+            expected = 'detached'
+        else:
+            gcpu.vcpu.set_runstate('runnable', sim.now)
+            expected = 'on runnable vCPU'
+        sanitizer.check_now()
+        stray = [v.message for v in sanitizer.violations
+                 if v.invariant == 'timer_handles']
+        # A descheduled vCPU strands its pending quantum as well.
+        assert len(stray) == (2 if corruption == 'descheduled' else 1)
+        assert expected in stray[0] and 'tick' in stray[0]
+
     def test_clock_regression_detected(self):
         sim = Simulator()
         sanitizer = install_sanitizer(sim, mode='collect')

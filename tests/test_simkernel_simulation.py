@@ -5,6 +5,7 @@ import os
 import pstats
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import LivelockError, SimulationError, Simulator
 
@@ -240,7 +241,8 @@ class TestRunUntilEdges:
 
 class TestRearm:
     """``Simulator.rearm``: a fired handle is rescheduled in place; a
-    cancelled or missing one is replaced; a pending one is refused."""
+    cancelled one is re-keyed in place unless the new time is earlier;
+    a missing one is allocated; a pending one is refused."""
 
     def _fired(self, sim, results):
         handle = sim.after(10, results.append, 'first')
@@ -293,16 +295,38 @@ class TestRearm:
         assert handle.fired
         assert sim.pending_events == 0
 
-    def test_cancelled_handle_is_replaced(self):
+    def test_cancelled_handle_is_rekeyed(self):
         sim = Simulator()
+        queue = sim._queue
         results = []
-        stale = sim.after(10, results.append, 'stale')
-        stale.cancel()
-        fresh = sim.rearm(stale, 20, results.append, 'fresh')
-        assert fresh is not stale
-        assert stale.cancelled and fresh.pending
+        sim.after(20, results.append, 'before')
+        handle = sim.after(10, results.append, 'stale')
+        handle.cancel()
+        assert len(queue) == 1
+        same = sim.rearm(handle, 20, results.append, 'rekeyed')
+        sim.after(20, results.append, 'after')
+        # Re-keyed in place: no push, the next seq, live again.
+        assert same is handle and handle.pending
+        assert (handle.time, handle.seq) == (20, 3)
+        assert queue._seq == 4 and len(queue) == 3
+        assert len(queue._heap) == 3
+        sim.run_until(15)
+        # The stale entry surfaced at 10 and went back in at (20, 3).
+        assert results == [] and len(queue._heap) == 3
         sim.run_until(100)
-        assert results == ['fresh']
+        assert results == ['before', 'rekeyed', 'after']
+        assert handle.fired and len(queue) == 0 and not queue._heap
+        # Earlier than the handle's own time: a fresh Event, and the
+        # stale entry is dropped when it surfaces.
+        early = sim.after(50, results.append, 'stale')
+        early.cancel()
+        fresh = sim.rearm(early, 10, results.append, 'fresh')
+        assert fresh is not early and early.cancelled and fresh.pending
+        assert fresh.seq == queue._seq == 6 and len(queue) == 1
+        sim.run_until(200)
+        assert results[3:] == ['fresh'] and fresh.fired
+        assert len(queue) == 0 and not queue._heap
+        assert sim.events_processed == 4
 
     def test_none_allocates_a_handle(self):
         sim = Simulator()
@@ -485,10 +509,117 @@ class TestAgain:
         sim.run_until(200)
         assert lens == [0, 1, 0]
         assert other.cancelled and len(queue) == 0
-        # A cancelled handle keeps its stale heap entry, so rearm()
-        # replaces it rather than reviving it.
-        fresh = sim.rearm(other, 5, lambda: None)
-        assert fresh is not other and len(queue) == 1
+        # Its stale entry (t=120) surfaced and was dropped inside
+        # run_until(200), so rearm() reuses the handle with a push.
+        assert not queue._heap
+        reused = sim.rearm(other, 5, lambda: None)
+        assert reused is other and other.pending and len(queue) == 1
+        assert len(queue._heap) == 1
+
+
+_DELAYS = st.integers(0, 30)
+_AGAINS = st.tuples(st.integers(0, 2), st.integers(1, 15))
+_SLOTS = st.integers(0, 7)
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just('after'), _DELAYS, _AGAINS),
+    st.tuples(st.just('cancel'), _SLOTS),
+    st.tuples(st.just('rearm'), _SLOTS, _DELAYS, _AGAINS),
+    st.tuples(st.just('run'), st.integers(0, 25)),
+), max_size=40)
+
+
+class TestRekeyModel:
+    """``after``, ``cancel``, ``rearm``, ``again`` from a callback and
+    ``run_until`` against a sorted ``(time, seq)`` reference: the same
+    firing order, live count and ``seq`` draws, whichever of re-key,
+    reuse or allocation ``rearm`` takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=_STEPS)
+    def test_matches_a_sorted_reference(self, steps):
+        sim = Simulator()
+        queue = sim._queue
+        handles, plans, fired = [], [], []
+        # The reference: slot -> (time, seq) of every pending event,
+        # the seq counter, each slot's again() plan, the firing log.
+        pending, ref_plans, ref_fired = {}, [], []
+        ref_seq = 0
+
+        def callback(slot):
+            fired.append((slot, sim.now))
+            left, delay = plans[slot]
+            if left:
+                plans[slot] = (left - 1, delay)
+                sim.again(delay)
+
+        for step in steps:
+            kind = step[0]
+            if kind == 'after':
+                __, delay, plan = step
+                handles.append(sim.after(delay, callback, len(handles)))
+                plans.append(plan)
+                ref_seq += 1
+                pending[len(ref_plans)] = (sim.now + delay, ref_seq)
+                ref_plans.append(plan)
+            elif kind == 'cancel' and handles:
+                slot = step[1] % len(handles)
+                handles[slot].cancel()
+                pending.pop(slot, None)
+            elif kind == 'rearm' and handles:
+                __, slot, delay, plan = step
+                slot %= len(handles)
+                if slot in pending:
+                    with pytest.raises(SimulationError):
+                        sim.rearm(handles[slot], delay, callback, slot)
+                else:
+                    handles[slot] = sim.rearm(handles[slot], delay,
+                                              callback, slot)
+                    plans[slot] = ref_plans[slot] = plan
+                    ref_seq += 1
+                    pending[slot] = (sim.now + delay, ref_seq)
+            elif kind == 'run':
+                end = sim.now + step[1]
+                sim.run_until(end)
+                while pending:
+                    slot, (time, __) = min(pending.items(),
+                                           key=lambda item: item[1])
+                    if time > end:
+                        break
+                    del pending[slot]
+                    ref_fired.append((slot, time))
+                    left, delay = ref_plans[slot]
+                    if left:
+                        ref_plans[slot] = (left - 1, delay)
+                        ref_seq += 1
+                        pending[slot] = (time + delay, ref_seq)
+                assert sim.now == end
+            assert fired == ref_fired
+            assert len(queue) == len(pending)
+            assert queue._seq == ref_seq
+            assert [(event.time, event.seq)
+                    for event in queue.peek_events(len(handles))] == \
+                sorted(pending.values())
+
+    def test_livelock_error_lists_a_rekeyed_handle_at_its_new_time(self):
+        sim = Simulator()
+
+        def spin():
+            sim.again(1)
+
+        def parked():
+            pass
+        handle = sim.after(100, parked)
+        handle.cancel()
+        sim.after(1, spin)
+        sim.rearm(handle, 200, parked)
+        with pytest.raises(LivelockError) as err:
+            sim.run_until(10**6, max_events=10)
+        exc = err.value
+        # The stale entry (t=100) has not surfaced yet.
+        assert any(entry[0] == 100 for entry in sim._queue._heap)
+        assert exc.pending == 2
+        assert [time for time, __ in exc.next_events] == [sim.now + 1, 200]
+        assert 'parked' in exc.next_events[1][1]
 
 
 def _dispatch_callees(stats):
