@@ -89,7 +89,7 @@ class TickDriver:
 
     def arm_tick(self, gcpu):
         event = gcpu.tick_event
-        if event is None or event.fired or event.cancelled:
+        if event is None or event.seq <= 0:
             gcpu.tick_event = self.sim.rearm(
                 event, self.kernel.policy.config.tick_ns, self._on_tick,
                 gcpu)

@@ -29,7 +29,7 @@ class PleMonitor:
     def on_spin_start(self, vcpu):
         """The running task on ``vcpu`` entered a pause loop."""
         event = vcpu.ple_window
-        if event is not None and not (event.fired or event.cancelled):
+        if event is not None and event.seq > 0:
             return
         vcpu.ple_window = self.sim.rearm(
             event, self.window_ns, self._window_expired, vcpu)

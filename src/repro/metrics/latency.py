@@ -3,39 +3,45 @@
 import math
 
 
+def _interpolate(ordered, p):
+    """Linear-interpolated percentile ``p`` of the non-empty sorted
+    list ``ordered``."""
+    if len(ordered) == 1:
+        return float(ordered[0])
+    rank = (p / 100.0) * (len(ordered) - 1)
+    low = int(math.floor(rank))
+    high = min(low + 1, len(ordered) - 1)
+    if ordered[low] == ordered[high]:
+        return float(ordered[low])
+    frac = rank - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+
+
 class LatencyRecorder:
     """Collects latency samples (ns) and answers percentile queries.
 
-    Percentiles are served from a cached sorted view: the first query
-    after a mutation sorts once, and every further query (``summary()``
-    alone needs two) reuses the order. Open-loop serving runs push
-    sample counts into the millions, where re-sorting per call is the
-    dominant cost. Mutate through :meth:`record` / :meth:`extend` /
-    :meth:`reset`; direct ``samples`` surgery is still detected by the
-    length check in :meth:`_ordered`, but equal-length in-place edits
-    are not — use the methods.
+    :meth:`summary` sorts the samples once and reads every percentile
+    from that order; :meth:`percentile` sorts on each call. Open-loop
+    serving runs push sample counts into the millions, so a run asks
+    each recorder for one summary.
     """
 
     def __init__(self, name='latency'):
         self.name = name
         self.samples = []
-        self._sorted = None
 
     def record(self, value_ns):
         if value_ns < 0:
             raise ValueError('negative latency %r' % value_ns)
         self.samples.append(value_ns)
-        self._sorted = None
 
     def extend(self, values_ns):
         """Bulk-append samples (merging per-replica recorders)."""
         self.samples.extend(values_ns)
-        self._sorted = None
 
     def reset(self):
         """Drop every sample (steady-state measurement restarts)."""
         self.samples.clear()
-        self._sorted = None
 
     def __len__(self):
         return len(self.samples)
@@ -49,29 +55,13 @@ class LatencyRecorder:
             return 0.0
         return sum(self.samples) / len(self.samples)
 
-    def _ordered(self):
-        ordered = self._sorted
-        if ordered is None or len(ordered) != len(self.samples):
-            ordered = sorted(self.samples)
-            self._sorted = ordered
-        return ordered
-
     def percentile(self, p):
         """Linear-interpolated percentile, p in [0, 100]."""
         if not self.samples:
             return 0.0
         if not 0 <= p <= 100:
             raise ValueError('percentile must be in [0, 100]')
-        ordered = self._ordered()
-        if len(ordered) == 1:
-            return float(ordered[0])
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = min(low + 1, len(ordered) - 1)
-        if ordered[low] == ordered[high]:
-            return float(ordered[low])
-        frac = rank - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        return _interpolate(sorted(self.samples), p)
 
     def p50(self):
         return self.percentile(50)
@@ -80,14 +70,15 @@ class LatencyRecorder:
         return self.percentile(99)
 
     def max(self):
-        return float(self._ordered()[-1]) if self.samples else 0.0
+        return float(max(self.samples)) if self.samples else 0.0
 
     def summary(self):
         """Dict of the usual aggregates (ns)."""
+        ordered = sorted(self.samples)
         return {
-            'count': self.count,
+            'count': len(ordered),
             'mean': self.mean(),
-            'p50': self.p50(),
-            'p99': self.p99(),
-            'max': self.max(),
+            'p50': _interpolate(ordered, 50) if ordered else 0.0,
+            'p99': _interpolate(ordered, 99) if ordered else 0.0,
+            'max': float(ordered[-1]) if ordered else 0.0,
         }

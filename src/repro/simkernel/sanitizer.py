@@ -12,7 +12,7 @@ two-level scheduler:
   is exactly one of current / queued / sleeping / migrating / exited;
 * the clock is monotone;
 * a pending guest tick, compute quantum or PLE window is due no earlier
-  than now, still queued, and on a running vCPU ("timer_handles");
+  than now and on a running vCPU ("timer_handles");
 * credits are conserved within the scheduler's clip band
   ``[-credit_cap, credit_cap]``.
 
@@ -361,12 +361,10 @@ class Sanitizer:
 
     def _check_timer_handles(self, gcpu, event):
         """A pending guest tick, compute quantum or PLE window is due
-        no earlier than now, still holds its heap entry (a re-keyed
-        handle included), and belongs to a running vCPU: every switch
+        no earlier than now and belongs to a running vCPU: every switch
         away cancels all three."""
         vcpu = gcpu.vcpu
         now = self.sim.now
-        queue = self.sim._queue
         for name, handle in (('tick', gcpu.tick_event),
                              ('quantum', gcpu.quantum_event),
                              ('PLE window', vcpu.ple_window)):
@@ -376,10 +374,6 @@ class Sanitizer:
                 self._fail('timer_handles',
                            '%s %s pending at t=%d, before now'
                            % (gcpu.name, name, handle.time), event)
-            if handle._queue is not queue:
-                self._fail('timer_handles',
-                           '%s %s pending but detached from the event '
-                           'queue' % (gcpu.name, name), event)
             if not vcpu.is_running:
                 self._fail('timer_handles',
                            '%s %s pending on %s vCPU %s'

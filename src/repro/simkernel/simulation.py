@@ -9,7 +9,7 @@ event sequences.
 
 from heapq import heappush
 
-from .events import Event, EventQueue, settle_head
+from .events import CANCELLED_SEQ, FIRED_SEQ, Event, EventQueue, settle_head
 from .rng import RngRegistry
 from .tracing import Tracer
 
@@ -27,7 +27,7 @@ class LivelockError(SimulationError):
 
     Attributes:
         limit: the exhausted ``max_events`` budget.
-        pending: number of live events left in the queue.
+        pending: number of pending events left in the queue.
         next_events: up to :attr:`SUMMARY_DEPTH` upcoming events
             (firing order) as ``(time_ns, callback_name)`` pairs.
     """
@@ -89,20 +89,17 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 'cannot schedule at %d, now is %d' % (time, self.now))
-        return self._queue.schedule(time, callback, *args)
+        return self.after(time - self.now, callback, *args)
 
     def after(self, delay, callback, *args):
         """Schedule ``callback(*args)`` ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
-        # A hot scheduling call (and the model of rearm() below): push
-        # straight onto the heap, as EventQueue.schedule would.
         queue = self._queue
         time = self.now + delay
         seq = queue._seq = queue._seq + 1
-        event = Event(time, seq, callback, args, queue)
+        event = Event(time, seq, callback, args)
         heappush(queue._heap, (time, seq, event))
-        queue._live += 1
         return event
 
     def rearm(self, handle, delay, callback, *args):
@@ -113,40 +110,36 @@ class Simulator:
         counter as :meth:`after`), so a timer costs no allocation per
         period:
 
-        * a cancelled handle whose stale heap entry is still queued is
-          *re-keyed*: nothing is pushed, and the stale entry is pushed
-          back at the new key when it reaches the head
-          (``events.settle_head``). Only a re-key to a time not earlier
-          than the handle's own is safe that way, so an earlier one gets
-          a fresh :class:`Event` instead;
-        * a fired handle, or a cancelled one whose entry is gone, is
-          reused with a push;
+        * a cancelled handle whose stale heap entry is still queued
+          (``CANCELLED_SEQ``) is *re-keyed*: nothing is pushed, and the
+          stale entry is pushed back at the new key when it reaches the
+          head (``events.settle_head``). Only a re-key to a time not
+          earlier than the handle's own is safe that way, so an earlier
+          one gets a fresh :class:`Event` instead;
+        * a fired handle (``FIRED_SEQ``), or a cancelled one whose entry
+          was dropped (``DROPPED_SEQ``), is reused with a push;
         * ``None`` gets a fresh :class:`Event`;
         * a still-pending handle raises :class:`SimulationError`."""
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
-        if handle is not None and not (handle.fired or handle.cancelled):
-            raise SimulationError('cannot re-arm pending %r' % (handle,))
+        stale = False
+        if handle is not None:
+            if handle.seq > 0:
+                raise SimulationError('cannot re-arm pending %r' % (handle,))
+            stale = handle.seq == CANCELLED_SEQ
         queue = self._queue
         time = self.now + delay
         seq = queue._seq = queue._seq + 1
-        queue._live += 1
-        # A cancelled handle whose stale entry is still queued.
-        stale = (handle is not None and handle.cancelled
-                 and handle._queue is not None)
         if handle is None or stale and time < handle.time:
-            handle = Event(time, seq, callback, args, queue)
+            handle = Event(time, seq, callback, args)
         else:
             handle.time = time
             handle.seq = seq
             handle.callback = callback
             handle.args = args
-            handle.fired = handle.cancelled = False
             if stale:
                 # Re-keyed: settle_head pushes the stale entry back.
                 return handle
-            # A dropped entry (or EventQueue.clear) detached the handle.
-            handle._queue = queue
         heappush(queue._heap, (time, seq, handle))
         return handle
 
@@ -159,21 +152,19 @@ class Simulator:
         a dispatch, on a second call from the same callback (the handle
         is no longer fired) and for a negative delay."""
         event = self._firing
-        if event is None or not event.fired:
+        if event is None or event.seq != FIRED_SEQ:
             raise SimulationError('again() needs the firing event')
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
         queue = self._queue
         time = event.time = self.now + delay
         seq = event.seq = queue._seq = queue._seq + 1
-        event.fired = False
         heappush(queue._heap, (time, seq, event))
-        queue._live += 1
 
     def call_soon(self, callback, *args):
         """Schedule ``callback(*args)`` at the current time (after any
         event currently firing completes)."""
-        return self._queue.schedule(self.now, callback, *args)
+        return self.after(0, callback, *args)
 
     # ------------------------------------------------------------------
     # Post-event hooks
@@ -277,7 +268,8 @@ class Simulator:
 
     @property
     def pending_events(self):
-        """Number of live events in the queue."""
+        """Number of pending events in the queue. O(queue): for
+        diagnostics only."""
         return len(self._queue)
 
     @property

@@ -10,8 +10,8 @@
 
 from ..metrics.latency import LatencyRecorder
 from ..simkernel.units import MS, SEC, US
-from .actions import Acquire, Compute, Release
-from .sync import Mutex
+from .actions import Acquire, Compute, QueueGet, QueuePut, Release, Sleep
+from .sync import BoundedQueue, Mutex
 
 
 class ServerWorkload:
@@ -103,8 +103,6 @@ class OpenLoopServerWorkload:
     def __init__(self, sim, kernel, n_workers=None, service_ns=2 * MS,
                  arrivals_per_sec=800, jitter=0.3, queue_capacity=10_000,
                  name='openloop'):
-        from .actions import QueueGet, Sleep
-        from .sync import BoundedQueue
         self.sim = sim
         self.kernel = kernel
         self.n_workers = n_workers or len(kernel.gcpus)
@@ -120,7 +118,6 @@ class OpenLoopServerWorkload:
         self.tasks = []
 
     def install(self):
-        from .actions import QueuePut, Sleep
         self.started_at = self.sim.now
         arrival = self.kernel.spawn('%s.arrivals' % self.name,
                                     self._arrival_loop(), gcpu_index=0)
@@ -133,7 +130,6 @@ class OpenLoopServerWorkload:
         return self
 
     def _arrival_loop(self):
-        from .actions import QueuePut, Sleep
         mean_gap = int(SEC / self.arrivals_per_sec)
         while True:
             gap = self.sim.rng.exponential_ns(
@@ -145,7 +141,6 @@ class OpenLoopServerWorkload:
             yield QueuePut(self.queue, self.sim.now)
 
     def _worker_loop(self, index):
-        from .actions import Compute, QueueGet
         stream = '%s.w%d' % (self.name, index)
         while True:
             arrived_at = yield QueueGet(self.queue)

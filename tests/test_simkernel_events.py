@@ -3,119 +3,124 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simkernel import Simulator
-from repro.simkernel.events import CANCELLED_SEQ, Event, EventQueue
-
-
-def make_queue():
-    return EventQueue()
+from repro.simkernel import SimulationError, Simulator
+from repro.simkernel.events import CANCELLED_SEQ, DROPPED_SEQ, FIRED_SEQ
 
 
 class TestScheduleAndPop:
+    """Events scheduled through ``Simulator.at``/``after`` and taken
+    with ``EventQueue.pop`` (the clock does not move)."""
+
     def test_pop_empty_returns_none(self):
-        q = make_queue()
-        assert q.pop() is None
+        sim = Simulator()
+        assert sim._queue.pop() is None
 
     def test_single_event_pops(self):
-        q = make_queue()
-        q.schedule(10, lambda: None)
-        event = q.pop()
+        sim = Simulator()
+        sim.at(10, lambda: None)
+        event = sim._queue.pop()
         assert event.time == 10
-        assert event.fired
+        assert event.fired and event.seq == FIRED_SEQ
 
     def test_events_pop_in_time_order(self):
-        q = make_queue()
-        q.schedule(30, lambda: None)
-        q.schedule(10, lambda: None)
-        q.schedule(20, lambda: None)
-        times = [q.pop().time for __ in range(3)]
+        sim = Simulator()
+        sim.at(30, lambda: None)
+        sim.at(10, lambda: None)
+        sim.after(20, lambda: None)
+        times = [sim._queue.pop().time for __ in range(3)]
         assert times == [10, 20, 30]
 
     def test_ties_pop_in_schedule_order(self):
-        q = make_queue()
+        sim = Simulator()
         order = []
-        first = q.schedule(5, order.append, 'first')
-        second = q.schedule(5, order.append, 'second')
-        assert q.pop() is first
-        assert q.pop() is second
+        first = sim.at(5, order.append, 'first')
+        second = sim.after(5, order.append, 'second')
+        assert sim._queue.pop() is first
+        assert sim._queue.pop() is second
 
     def test_negative_time_rejected(self):
-        q = make_queue()
-        with pytest.raises(ValueError):
-            q.schedule(-1, lambda: None)
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.at(-1, lambda: None)
+        assert sim._queue._seq == 0 and not sim._queue._heap
 
     def test_zero_time_allowed(self):
-        q = make_queue()
-        q.schedule(0, lambda: None)
-        assert q.pop().time == 0
+        sim = Simulator()
+        sim.at(0, lambda: None)
+        assert sim._queue.pop().time == 0
 
     def test_callback_args_preserved(self):
-        q = make_queue()
-        q.schedule(1, lambda a, b: None, 'x', 'y')
-        event = q.pop()
+        sim = Simulator()
+        sim.at(1, lambda a, b: None, 'x', 'y')
+        event = sim._queue.pop()
         assert event.args == ('x', 'y')
 
 
 class TestCancellation:
     def test_cancelled_event_not_popped(self):
-        q = make_queue()
-        event = q.schedule(10, lambda: None)
+        sim = Simulator()
+        q = sim._queue
+        event = sim.at(10, lambda: None)
         event.cancel()
         assert q.pop() is None
 
     def test_cancel_is_idempotent(self):
-        q = make_queue()
-        event = q.schedule(10, lambda: None)
+        sim = Simulator()
+        q = sim._queue
+        event = sim.at(10, lambda: None)
         event.cancel()
         event.cancel()
         assert len(q) == 0
 
     def test_cancel_after_fire_is_noop(self):
-        q = make_queue()
-        event = q.schedule(10, lambda: None)
+        sim = Simulator()
+        q = sim._queue
+        event = sim.at(10, lambda: None)
         fired = q.pop()
         fired.cancel()
         assert fired.fired
 
     def test_cancel_middle_event_preserves_others(self):
-        q = make_queue()
-        q.schedule(1, lambda: None)
-        middle = q.schedule(2, lambda: None)
-        q.schedule(3, lambda: None)
+        sim = Simulator()
+        q = sim._queue
+        sim.at(1, lambda: None)
+        middle = sim.at(2, lambda: None)
+        sim.at(3, lambda: None)
         middle.cancel()
         assert [q.pop().time for __ in range(2)] == [1, 3]
 
     def test_len_counts_live_events_only(self):
-        q = make_queue()
-        keep = q.schedule(1, lambda: None)
-        drop = q.schedule(2, lambda: None)
+        sim = Simulator()
+        q = sim._queue
+        keep = sim.at(1, lambda: None)
+        drop = sim.at(2, lambda: None)
         assert len(q) == 2
         drop.cancel()
         assert len(q) == 1
-        assert bool(q)
         q.pop()
         assert len(q) == 0
-        assert not q
         assert keep.fired
 
 
 class TestPeek:
-    def test_peek_time_empty(self):
-        assert make_queue().peek_time() is None
+    def test_peek_events_empty(self):
+        assert Simulator()._queue.peek_events(3) == []
 
-    def test_peek_time_skips_cancelled(self):
-        q = make_queue()
-        head = q.schedule(1, lambda: None)
-        q.schedule(7, lambda: None)
+    def test_peek_events_skips_cancelled(self):
+        sim = Simulator()
+        q = sim._queue
+        head = sim.at(1, lambda: None)
+        tail = sim.at(7, lambda: None)
         head.cancel()
-        assert q.peek_time() == 7
+        assert q.peek_events(3) == [tail]
 
     def test_peek_does_not_remove(self):
-        q = make_queue()
-        q.schedule(3, lambda: None)
-        assert q.peek_time() == 3
-        assert q.peek_time() == 3
-        assert len(q) == 1
+        sim = Simulator()
+        q = sim._queue
+        event = sim.at(3, lambda: None)
+        assert q.peek_events(1) == [event]
+        assert q.peek_events(1) == [event]
+        assert len(q) == 1 and event.pending
 
 
 class TestRekeyedHeads:
@@ -125,30 +130,36 @@ class TestRekeyedHeads:
 
     def _rekeyed(self):
         sim = Simulator()
-        queue = sim._queue
         handle = sim.after(10, lambda: None)
         other = sim.after(15, lambda: None)
         handle.cancel()
         assert handle.seq == CANCELLED_SEQ
         assert sim.rearm(handle, 20, lambda: None) is handle
-        return queue, handle, other
+        return sim, handle, other
 
     def test_pop_pushes_a_stale_head_back(self):
-        queue, handle, other = self._rekeyed()
+        sim, handle, other = self._rekeyed()
+        queue = sim._queue
         assert queue.pop() is other
         assert queue._heap == [(20, 3, handle)]
         assert queue.pop() is handle and handle.fired
         assert queue.pop() is None and len(queue) == 0
 
-    def test_peek_time_reports_the_current_key(self):
-        queue, handle, other = self._rekeyed()
+    def test_run_until_settles_stale_heads(self):
+        sim, handle, other = self._rekeyed()
+        queue = sim._queue
         other.cancel()
-        assert queue.peek_time() == 20
+        assert len(queue) == 1
+        assert sim.run_until(15) == 0
+        # (10, 1) went back in at (20, 3); the cancelled (15, 2) was
+        # dropped.
         assert queue._heap == [(20, 3, handle)]
+        assert other.seq == DROPPED_SEQ and handle.pending
         assert len(queue) == 1
 
     def test_peek_events_lists_the_current_key(self):
-        queue, handle, other = self._rekeyed()
+        sim, handle, other = self._rekeyed()
+        queue = sim._queue
         assert queue.peek_events(5) == [other, handle]
         assert [(e.time, e.seq) for e in queue.peek_events(5)] == [
             (15, 2), (20, 3)]
@@ -156,37 +167,31 @@ class TestRekeyedHeads:
         assert queue._heap[0] == (10, 1, handle)
 
     def test_cancelled_head_detaches_its_handle(self):
-        queue, handle, other = self._rekeyed()
+        sim, handle, other = self._rekeyed()
+        queue = sim._queue
         handle.cancel()
         assert queue.pop() is other
-        assert handle._queue is None and not queue._heap
+        assert handle.seq == DROPPED_SEQ and not queue._heap
+        assert handle.cancelled and not handle.pending
         assert len(queue) == 0
-
-
-class TestClear:
-    def test_clear_drops_everything(self):
-        q = make_queue()
-        for t in range(5):
-            q.schedule(t, lambda: None)
-        q.clear()
-        assert len(q) == 0
-        assert q.pop() is None
 
 
 class TestEventRepr:
     def test_repr_states(self):
-        q = make_queue()
-        event = q.schedule(5, lambda: None)
+        sim = Simulator()
+        q = sim._queue
+        event = sim.at(5, lambda: None)
         assert 'pending' in repr(event)
         event.cancel()
         assert 'cancelled' in repr(event)
-        fresh = q.schedule(6, lambda: None)
+        fresh = sim.at(6, lambda: None)
         q.pop()  # pops `fresh` (5 was cancelled)
         assert 'fired' in repr(fresh)
 
     def test_pending_property(self):
-        q = make_queue()
-        event = q.schedule(5, lambda: None)
+        sim = Simulator()
+        q = sim._queue
+        event = sim.at(5, lambda: None)
         assert event.pending
         event.cancel()
         assert not event.pending
@@ -196,9 +201,10 @@ class TestPropertyBased:
     @given(st.lists(st.integers(min_value=0, max_value=10_000),
                     min_size=1, max_size=200))
     def test_pop_order_is_sorted_by_time(self, times):
-        q = make_queue()
+        sim = Simulator()
+        q = sim._queue
         for t in times:
-            q.schedule(t, lambda: None)
+            sim.at(t, lambda: None)
         popped = []
         while True:
             event = q.pop()
@@ -211,10 +217,11 @@ class TestPropertyBased:
                               st.booleans()),
                     min_size=1, max_size=100))
     def test_cancelled_subset_never_pops(self, spec):
-        q = make_queue()
+        sim = Simulator()
+        q = sim._queue
         live = []
         for t, keep in spec:
-            event = q.schedule(t, lambda: None)
+            event = sim.at(t, lambda: None)
             if keep:
                 live.append(t)
             else:

@@ -157,8 +157,7 @@ class TestCatchesCorruption:
                                    'no_task_queued_and_running')
                    for v in sanitizer.violations)
 
-    @pytest.mark.parametrize('corruption', ['past', 'detached',
-                                            'descheduled'])
+    @pytest.mark.parametrize('corruption', ['past', 'descheduled'])
     def test_stray_timer_handle_detected(self, corruption):
         sim, sanitizer, machine, kernel = sanitized_machine(mode='collect')
         kernel.spawn('a', hog(), gcpu_index=0)
@@ -172,9 +171,6 @@ class TestCatchesCorruption:
         if corruption == 'past':
             tick.time = sim.now - 1
             expected = 'before now'
-        elif corruption == 'detached':
-            tick._queue = None
-            expected = 'detached'
         else:
             gcpu.vcpu.set_runstate('runnable', sim.now)
             expected = 'on runnable vCPU'

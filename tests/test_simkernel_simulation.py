@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import LivelockError, SimulationError, Simulator
+from repro.simkernel.events import DROPPED_SEQ, FIRED_SEQ
 
 
 class TestScheduling:
@@ -361,15 +362,16 @@ class TestRearm:
         sim.run_until(100)
         assert len(queue) == 0
         sim.rearm(handle, 5, lambda: None)
-        queue.clear()
-        assert len(queue) == 0
-        # Dropped by clear(): cancelling the detached handle leaves the
-        # count alone, and a replacement counts again.
+        handle.cancel()
+        sim.run_until(200)
+        # Drained: its cancelled entry surfaced and was dropped, so a
+        # second cancel is a no-op and rearm() reuses it with a push.
+        assert handle.seq == DROPPED_SEQ and not queue._heap
         handle.cancel()
         assert len(queue) == 0
-        handle = sim.rearm(handle, 5, lambda: None)
-        assert len(queue) == 1
-        sim.run_until(200)
+        assert sim.rearm(handle, 5, lambda: None) is handle
+        assert len(queue) == 1 and len(queue._heap) == 1
+        sim.run_until(300)
         assert handle.fired and len(queue) == 0
         sim.rearm(handle, 5, lambda: None)
         assert len(queue) == 1
@@ -522,6 +524,8 @@ _AGAINS = st.tuples(st.integers(0, 2), st.integers(1, 15))
 _SLOTS = st.integers(0, 7)
 _STEPS = st.lists(st.one_of(
     st.tuples(st.just('after'), _DELAYS, _AGAINS),
+    st.tuples(st.just('at'), _DELAYS, _AGAINS),
+    st.tuples(st.just('call_soon'), st.just(0), _AGAINS),
     st.tuples(st.just('cancel'), _SLOTS),
     st.tuples(st.just('rearm'), _SLOTS, _DELAYS, _AGAINS),
     st.tuples(st.just('run'), st.integers(0, 25)),
@@ -529,10 +533,11 @@ _STEPS = st.lists(st.one_of(
 
 
 class TestRekeyModel:
-    """``after``, ``cancel``, ``rearm``, ``again`` from a callback and
-    ``run_until`` against a sorted ``(time, seq)`` reference: the same
-    firing order, live count and ``seq`` draws, whichever of re-key,
-    reuse or allocation ``rearm`` takes."""
+    """``after``, ``at``, ``call_soon``, ``cancel``, ``rearm``,
+    ``again`` from a callback and ``run_until`` against a sorted
+    ``(time, seq)`` reference: the same firing order, pending count,
+    ``seq`` draws and handle states, and one heap entry per pending
+    handle, whichever of re-key, reuse or allocation ``rearm`` takes."""
 
     @settings(max_examples=300, deadline=None)
     @given(steps=_STEPS)
@@ -541,8 +546,9 @@ class TestRekeyModel:
         queue = sim._queue
         handles, plans, fired = [], [], []
         # The reference: slot -> (time, seq) of every pending event,
-        # the seq counter, each slot's again() plan, the firing log.
-        pending, ref_plans, ref_fired = {}, [], []
+        # each slot's state, the seq counter, each slot's again() plan,
+        # the firing log.
+        pending, states, ref_plans, ref_fired = {}, [], [], []
         ref_seq = 0
 
         def callback(slot):
@@ -554,17 +560,26 @@ class TestRekeyModel:
 
         for step in steps:
             kind = step[0]
-            if kind == 'after':
+            if kind in ('after', 'at', 'call_soon'):
                 __, delay, plan = step
-                handles.append(sim.after(delay, callback, len(handles)))
+                slot = len(handles)
+                if kind == 'after':
+                    handle = sim.after(delay, callback, slot)
+                elif kind == 'at':
+                    handle = sim.at(sim.now + delay, callback, slot)
+                else:
+                    handle = sim.call_soon(callback, slot)
+                handles.append(handle)
                 plans.append(plan)
                 ref_seq += 1
-                pending[len(ref_plans)] = (sim.now + delay, ref_seq)
+                pending[slot] = (sim.now + delay, ref_seq)
+                states.append('pending')
                 ref_plans.append(plan)
             elif kind == 'cancel' and handles:
                 slot = step[1] % len(handles)
                 handles[slot].cancel()
-                pending.pop(slot, None)
+                if pending.pop(slot, None) is not None:
+                    states[slot] = 'cancelled'
             elif kind == 'rearm' and handles:
                 __, slot, delay, plan = step
                 slot %= len(handles)
@@ -577,6 +592,7 @@ class TestRekeyModel:
                     plans[slot] = ref_plans[slot] = plan
                     ref_seq += 1
                     pending[slot] = (sim.now + delay, ref_seq)
+                    states[slot] = 'pending'
             elif kind == 'run':
                 end = sim.now + step[1]
                 sim.run_until(end)
@@ -587,11 +603,13 @@ class TestRekeyModel:
                         break
                     del pending[slot]
                     ref_fired.append((slot, time))
+                    states[slot] = 'fired'
                     left, delay = ref_plans[slot]
                     if left:
                         ref_plans[slot] = (left - 1, delay)
                         ref_seq += 1
                         pending[slot] = (time + delay, ref_seq)
+                        states[slot] = 'pending'
                 assert sim.now == end
             assert fired == ref_fired
             assert len(queue) == len(pending)
@@ -599,6 +617,17 @@ class TestRekeyModel:
             assert [(event.time, event.seq)
                     for event in queue.peek_events(len(handles))] == \
                 sorted(pending.values())
+            assert [(h.pending, h.fired, h.cancelled) for h in handles] \
+                == [(s == 'pending', s == 'fired', s == 'cancelled')
+                    for s in states]
+            # Each pending handle owns exactly one heap entry (a stale
+            # one while re-keyed); fired or dropped handles own none.
+            owners = [id(entry[2]) for entry in queue._heap]
+            for handle in handles:
+                if handle.pending:
+                    assert owners.count(id(handle)) == 1
+            assert all(entry[2].seq not in (FIRED_SEQ, DROPPED_SEQ)
+                       for entry in queue._heap)
 
     def test_livelock_error_lists_a_rekeyed_handle_at_its_new_time(self):
         sim = Simulator()
