@@ -174,7 +174,7 @@ class GuestKernel:
     def vcpu_stopped_running(self, vcpu):
         """Our vCPU lost its pCPU: checkpoint and freeze."""
         gcpu = vcpu.gcpu
-        self._checkpoint(gcpu)
+        self._checkpoint(gcpu, self.sim.now)
         # TickDriver.cancel_quantum and cancel_tick, inlined (the hot
         # half of every vCPU switch).
         if gcpu.quantum_event is not None:
@@ -183,21 +183,36 @@ class GuestKernel:
             gcpu.tick_event.cancel()
         gcpu.run_started_at = None
 
-    def resume_spinning(self, vcpu):
-        """A directed yield handed ``vcpu`` its pCPU straight back: do
-        what :meth:`vcpu_stopped_running` and then
-        :meth:`vcpu_started_running` do to a spinning current task
-        (checkpoint, cancel the quantum and tick, re-arm the tick), and
-        return True. Returns False, changing nothing, when the start
-        would do more: stopper work is queued, or no task spins."""
+    def spin_resumable(self, vcpu):
+        """True when :meth:`resume_spinning` may stand for a stop and a
+        start of ``vcpu``: no stopper work is queued and its current
+        task spins."""
         gcpu = vcpu.gcpu
         task = gcpu.current
-        if gcpu.pending_work or task is None or not task.spinning:
-            return False
-        self.vcpu_stopped_running(vcpu)
-        gcpu.run_started_at = self.sim.now
-        self.ticks.arm_tick(gcpu)
-        return True
+        return not gcpu.pending_work and task is not None and task.spinning
+
+    def resume_spinning(self, vcpu, time, exits=1, period=0):
+        """Directed yields handed ``vcpu`` its pCPU straight back
+        ``exits`` times, the last at ``time`` and each ``period`` after
+        the one before: do, in closed form, what
+        :meth:`vcpu_stopped_running` and then :meth:`vcpu_started_running`
+        do to a spinning current task at each of those instants
+        (checkpoint, cancel the quantum and tick, re-arm the tick).
+        Only the last tick re-arm survives, so one is made. The caller
+        checked :meth:`spin_resumable`."""
+        gcpu = vcpu.gcpu
+        if exits > 1:
+            # Every exit after the first charges one whole period.
+            first = time - (exits - 1) * period
+            self._checkpoint(gcpu, first)
+            gcpu.current.charge_periods(period, exits - 1)
+            gcpu.busy_ns += time - first
+            gcpu.run_started_at = time
+        # At ``time`` after a fold: charges nothing, folds min_vruntime.
+        self._checkpoint(gcpu, time)
+        if gcpu.quantum_event is not None:
+            gcpu.quantum_event.cancel()
+        self.ticks.rearm_tick_at(gcpu, time)
 
     def deliver_virq(self, vcpu, virq):
         """A virtual interrupt arrived for ``vcpu``."""
@@ -244,7 +259,7 @@ class GuestKernel:
 
     def _exit_current(self, gcpu):
         task = gcpu.current
-        self._checkpoint(gcpu)
+        self._checkpoint(gcpu, self.sim.now)
         self.ticks.cancel_quantum(gcpu)
         task.state = TASK_EXITED
         task.finished_at = self.sim.now
@@ -259,7 +274,7 @@ class GuestKernel:
         task = gcpu.current
         if task is None:
             return
-        self._checkpoint(gcpu)
+        self._checkpoint(gcpu, self.sim.now)
         self.ticks.cancel_quantum(gcpu)
         if task.spinning:
             self.machine.notify_spin_stop(gcpu.vcpu)
@@ -272,19 +287,19 @@ class GuestKernel:
     def _block_current(self, gcpu):
         """Current task sleeps (lock/barrier/queue/timer wait)."""
         task = gcpu.current
-        self._checkpoint(gcpu)
+        self._checkpoint(gcpu, self.sim.now)
         self.ticks.cancel_quantum(gcpu)
         task.state = TASK_SLEEPING
         task.last_descheduled = self.sim.now
         gcpu.current = None
         self._schedule(gcpu)
 
-    def _checkpoint(self, gcpu):
-        """Charge the open execution interval to the current task."""
+    def _checkpoint(self, gcpu, now):
+        """Charge the open execution interval, up to ``now`` (the clock,
+        or the instant of an in-place PLE exit), to the current task."""
         task = gcpu.current
         if task is None or gcpu.run_started_at is None:
             return
-        now = self.sim.now
         delta = now - gcpu.run_started_at
         if delta > 0:
             task.charge(delta)
@@ -309,7 +324,7 @@ class GuestKernel:
     def sa_begin(self, gcpu):
         """SA upcall arrived: pause the current task's accounting while
         the handler runs (handler time is kernel time)."""
-        self._checkpoint(gcpu)
+        self._checkpoint(gcpu, self.sim.now)
         self.ticks.cancel_quantum(gcpu)
         if gcpu.current is not None and gcpu.current.spinning:
             self.machine.notify_spin_stop(gcpu.vcpu)

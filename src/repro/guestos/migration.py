@@ -109,7 +109,7 @@ class MigrationStopper:
         task = request.task
         source = task.gcpu
         kernel = self.kernel
-        kernel._checkpoint(source)
+        kernel._checkpoint(source, self.sim.now)
         kernel.ticks.cancel_quantum(source)
         if task.spinning:
             kernel.machine.notify_spin_stop(source.vcpu)

@@ -93,6 +93,15 @@ class Task:
         self.stint_ns += delta_ns
         self.vruntime += delta_ns * NICE_0_WEIGHT // self.weight
 
+    def charge_periods(self, period_ns, count):
+        """The integers of ``count`` :meth:`charge` calls of
+        ``period_ns``, in one step (kept apart from :meth:`charge`, which
+        runs once per event and measurably slows with a count)."""
+        total = period_ns * count
+        self.cpu_ns += total
+        self.stint_ns += total
+        self.vruntime += period_ns * NICE_0_WEIGHT // self.weight * count
+
     @property
     def runnable_like(self):
         """True for states the guest scheduler considers live work."""

@@ -295,8 +295,9 @@ class CreditScheduler:
             prev.set_runstate(new_state, now)
             pcpu.current = None
         # A descheduled vCPU stops any armed PLE window.
-        if prev.ple_window is not None:
-            prev.ple_window.cancel()
+        ple = self.machine.ple
+        if ple is not None:
+            ple.on_spin_stop(prev)
         deferred = pcpu.preempt_deferred
         # A still-current prev is picked as if requeued, so it looks
         # resident on ``pcpu`` to the steal path.
@@ -308,32 +309,39 @@ class CreditScheduler:
         if not deferred:
             self._dispatch(pcpu, candidate)
 
-    def yield_in_place(self, vcpu):
-        """Resolve the directed yield of running ``vcpu`` in one step
-        when :meth:`_switch` would dispatch it straight back, and return
-        True: the guest half (``resume_spinning``), then the preemption
-        counts, the runstate charge, the new slice and the
-        delay-preemption reset, as :meth:`_dispatch` does them. Returns
-        False, changing nothing, when the switch could do more: another
-        vCPU is the pick, a steal path is installed, an SA preemption is
-        parked, a vIRQ is pended, or the guest has more to do than
-        resume a spinning task."""
+    def can_yield_in_place(self, vcpu):
+        """True when :meth:`_switch` would dispatch running ``vcpu``
+        straight back from a directed yield and do nothing else, so
+        :meth:`yield_in_place` may stand for it. False when the switch
+        could do more: another vCPU is the pick, a steal path is
+        installed, an SA preemption is parked, a vIRQ is pended, or the
+        guest has more to do than resume a spinning task. No in-place
+        exit changes any of these."""
         pcpu = vcpu.pcpu
-        machine = self.machine
         guest = vcpu.vm.guest
-        if (pcpu.preempt_deferred or vcpu.pending_virqs
-                or machine.hv_balancer is not None or guest is None
-                or pcpu.peek_best(vcpu) is not vcpu
-                or not guest.resume_spinning(vcpu)):
-            return False
-        now = self.sim.now
-        vcpu.preemptions += 1
-        self.sim.trace.count('hv.preemptions')
-        vcpu.set_runstate(RUNSTATE_RUNNING, now)
-        vcpu.slice_start = now
-        if machine.delay_preempt is not None:
-            machine.delay_preempt.on_dispatch(vcpu)
-        return True
+        return not (pcpu.preempt_deferred or vcpu.pending_virqs
+                    or self.machine.hv_balancer is not None
+                    or guest is None
+                    or pcpu.peek_best(vcpu) is not vcpu
+                    or not guest.spin_resumable(vcpu))
+
+    def yield_in_place(self, vcpu, time, exits=1, period=0):
+        """Resolve ``exits`` directed yields of running ``vcpu``, the
+        last at ``time`` (at or before now) and each ``period`` after
+        the one before, each as if :meth:`_switch` dispatched it
+        straight back: the guest half (``resume_spinning``), then the
+        preemption counts, the runstate charge, the new slice and the
+        delay-preemption reset, as :meth:`_dispatch` does them. They
+        sum, so k exits cost one call. The caller checked
+        :meth:`can_yield_in_place`."""
+        vcpu.vm.guest.resume_spinning(vcpu, time, exits, period)
+        vcpu.preemptions += exits
+        self.sim.trace.count('hv.preemptions', exits)
+        vcpu.set_runstate(RUNSTATE_RUNNING, time)
+        vcpu.slice_start = time
+        delay = self.machine.delay_preempt
+        if delay is not None:
+            delay.on_dispatch(vcpu)
 
     def _schedule(self, pcpu):
         """Dispatch the best runnable vCPU on an idle ``pcpu``."""

@@ -59,9 +59,6 @@ class VCpu:
         self.credits = 0
         self.priority = PRI_UNDER
         self.slice_start = 0
-        # The PLE window's Event (repro.hypervisor.ple): armed while
-        # pending, else the fired or cancelled handle of the last one.
-        self.ple_window = None
 
         # Event-channel state.
         self.pending_virqs = []

@@ -11,8 +11,9 @@ a push and ``cancel`` O(log n) worst case and O(1) amortized for cancel.
 pending, :data:`FIRED_SEQ` once popped, :data:`CANCELLED_SEQ` while a
 cancelled handle's entry is still queued, :data:`DROPPED_SEQ` once
 :func:`settle_head` dropped that entry. An entry is live while its
-``sequence`` equals its event's ``seq``. ``Simulator.rearm`` may re-key
-a cancelled handle to a later ``(time, seq)`` without a push, so a head
+``sequence`` equals its event's ``seq``. ``Simulator.rearm`` and
+``rearm_at`` may re-key a cancelled handle to a later ``(time, seq)``
+without a push, so a head
 entry whose ``sequence`` no longer matches is *stale*: :func:`settle_head`
 drops it (cancelled) or pushes it back at its handle's current key
 (re-keyed). Either way the head check stays one comparison,
@@ -99,11 +100,12 @@ class EventQueue:
 
     Every push happens outside this class:
     :meth:`Simulator.after <repro.simkernel.simulation.Simulator.after>`,
-    ``Simulator.rearm`` and ``Simulator.again`` push onto ``_heap``
+    ``Simulator.rearm``, ``rearm_at`` and ``again`` push onto ``_heap``
     directly, and :func:`settle_head` (which ``Simulator.run_until``
     calls inline) pushes a re-keyed entry back. They depend on the
-    ``(time, seq, event)`` entry layout and on ``_seq``; a change to
-    either updates them too.
+    ``(time, seq, event)`` entry layout and on ``_seq``, the count of
+    drawn keys (``Simulator.reserve_seq`` draws one without a push); a
+    change to either updates them too.
     """
 
     def __init__(self):

@@ -11,8 +11,12 @@ two-level scheduler:
 * no task is lost or duplicated across migrations: every spawned task
   is exactly one of current / queued / sleeping / migrating / exited;
 * the clock is monotone;
-* a pending guest tick, compute quantum or PLE window is due no earlier
-  than now and on a running vCPU ("timer_handles");
+* a pending guest tick or compute quantum is due no earlier than now
+  and on a running vCPU ("timer_handles");
+* the PLE monitor's windows are folded soundly ("ple_fold"): each vCPU
+  with a window key runs a spinning task, no key is before now, and the
+  monitor's event is pending, not before now, and no later than every
+  key, or else (a fold is open) before every other live event;
 * credits are conserved within the scheduler's clip band
   ``[-credit_cap, credit_cap]``.
 
@@ -242,6 +246,48 @@ class Sanitizer:
                     self._check_sa_protocol(vcpu, proto, event)
             if vm.guest is not None:
                 self._check_guest(vm.guest, event)
+        # Duck-typed: a PLE slot without window keys has none to check.
+        if getattr(machine.ple, 'windows', None):
+            self._check_ple_fold(machine.ple, event)
+
+    def _check_ple_fold(self, ple, event):
+        """A window key stands for a PLE window that has no event of its
+        own (``repro.hypervisor.ple``). Its vCPU must run a spinning
+        task, and every window before now must have been applied. The
+        monitor's event must fire before any key it has not folded:
+        no later than every key, or, while it folds windows up to a
+        later one, before every other live event, so no event reads an
+        exit not yet applied."""
+        now = self.sim.now
+        windows = ple.windows
+        for vcpu, (time, __) in windows.items():
+            gcpu = vcpu.gcpu
+            task = gcpu.current if gcpu is not None else None
+            if not vcpu.is_running or task is None or not task.spinning:
+                self._fail('ple_fold',
+                           '%s has a PLE window but is %s with current '
+                           'task %r' % (vcpu.name, vcpu.runstate, task),
+                           event)
+            if time < now:
+                self._fail('ple_fold',
+                           '%s PLE window at t=%d, before now (an exit '
+                           'was not applied)' % (vcpu.name, time), event)
+        monitor = ple.event
+        if monitor is None or not monitor.pending:
+            self._fail('ple_fold', 'PLE monitor event not pending while '
+                       '%d vCPUs spin' % len(windows), event)
+            return
+        key = (monitor.time, monitor.seq)
+        if monitor.time < now:
+            self._fail('ple_fold', 'PLE monitor event at t=%d, before now'
+                       % monitor.time, event)
+        if key > min(windows.values()):
+            live = [(entry[0], entry[1]) for entry in self.sim._queue._heap
+                    if entry[1] == entry[2].seq and entry[2] is not monitor]
+            if live and key > min(live):
+                self._fail('ple_fold',
+                           'PLE monitor event at %r folds windows past '
+                           'the live event at %r' % (key, min(live)), event)
 
     def _check_hypervisor(self, machine, event):
         seen = set()
@@ -360,14 +406,13 @@ class Sanitizer:
                            'across migration)' % task.name, event)
 
     def _check_timer_handles(self, gcpu, event):
-        """A pending guest tick, compute quantum or PLE window is due
-        no earlier than now and belongs to a running vCPU: every switch
-        away cancels all three."""
+        """A pending guest tick or compute quantum is due no earlier
+        than now and belongs to a running vCPU: every switch away
+        cancels both."""
         vcpu = gcpu.vcpu
         now = self.sim.now
         for name, handle in (('tick', gcpu.tick_event),
-                             ('quantum', gcpu.quantum_event),
-                             ('PLE window', vcpu.ple_window)):
+                             ('quantum', gcpu.quantum_event)):
             if handle is None or not handle.pending:
                 continue
             if handle.time < now:

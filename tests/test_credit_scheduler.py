@@ -10,7 +10,7 @@ from repro.hypervisor.channels import VIRQ_TIMER
 from repro.hypervisor.vcpu import PRI_BOOST, PRI_OVER, PRI_UNDER
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
-from repro.workloads import Acquire, Compute, Release, SpinLock
+from repro.workloads import Acquire, Compute, Release, Sleep, SpinLock
 
 from conftest import build_vm
 
@@ -211,7 +211,8 @@ class TestSwitch:
     def test_ple_exit_of_lone_spinner_keeps_its_pcpu(self):
         """A spinning vCPU alone on its pCPU is re-picked by its PLE
         exit: counted as a preemption, dispatched afresh (new slice,
-        guest tick re-armed, PLE window re-armed) and never queued."""
+        guest tick re-armed, next PLE window one window later) and
+        never queued."""
         sim = Simulator(seed=1)
         machine = Machine(sim, n_pcpus=2)
         apply_strategy(machine, 'ple')
@@ -233,7 +234,7 @@ class TestSwitch:
         machine.start()
         spinner, pcpu = vm.vcpus[0], machine.pcpus[0]
         sim.run_until(400 * US)
-        expiry = spinner.ple_window.time
+        expiry = machine.ple.windows[spinner][0]
         sim.run_until(expiry - 1)
         counters = sim.trace.counters
         before = (counters['ple.exits'], counters['hv.preemptions'],
@@ -248,45 +249,118 @@ class TestSwitch:
         tick = spinner.gcpu.tick_event
         assert tick.pending
         assert tick.time == expiry + kernel.policy.config.tick_ns
-        assert spinner.ple_window.pending
-        assert spinner.ple_window.time == expiry + 50 * US
+        assert machine.ple.windows[spinner][0] == expiry + 50 * US
+        assert machine.ple.event.pending
 
 
-def _key(handle):
-    return None if handle is None else (handle.time, handle.seq,
-                                        handle.pending)
+class PerWindowPle:
+    """Reference PLE monitor: one timer event per spinning vCPU,
+    re-armed every window through public calls, as the monitor worked
+    before it folded windows. ``in_place=False`` makes every exit the
+    full switch (``force_yield``), whose re-picked spinner re-arms its
+    window through ``on_spin_start``."""
+
+    def __init__(self, machine, in_place=True, window_ns=50 * US):
+        self.sim = machine.sim
+        self.machine = machine
+        self.in_place = in_place
+        self.window_ns = window_ns
+        self.handles = {}
+
+    def on_spin_start(self, vcpu):
+        handle = self.handles.get(vcpu)
+        if handle is None or not handle.pending:
+            self.handles[vcpu] = self.sim.rearm(
+                handle, self.window_ns, self.expired, vcpu)
+
+    def on_spin_stop(self, vcpu):
+        handle = self.handles.get(vcpu)
+        if handle is not None:
+            handle.cancel()
+
+    def expired(self, vcpu):
+        if not vcpu.is_running:
+            return
+        self.sim.trace.count('ple.exits')
+        scheduler = self.machine.scheduler
+        if self.in_place and scheduler.can_yield_in_place(vcpu):
+            scheduler.yield_in_place(vcpu, self.sim.now)
+            self.sim.again(self.window_ns)
+        else:
+            scheduler.force_yield(vcpu)
 
 
-def _snapshot(sim, machine, kernel):
+def _window_keys(ple):
+    """Spinning vCPU -> key of its next PLE window, for either monitor."""
+    if isinstance(ple, PerWindowPle):
+        return {vcpu: (h.time, h.seq) for vcpu, h in ple.handles.items()
+                if h.pending}
+    return ple.windows
+
+
+def _name(arg):
+    return getattr(arg, 'name', type(arg).__name__)
+
+
+def _pending_order(sim, machine):
+    """Every pending event, and every PLE window, in firing order, as
+    ``(time, what)``: the per-window reference's window events and the
+    folding monitor's window keys read alike, and the monitor's own
+    event is left out (it stands for the windows)."""
+    ple = machine.ple
+    monitor = getattr(ple, 'event', None)
+    keyed = [(t, s, ('ple window', vcpu.name))
+             for vcpu, (t, s) in _window_keys(ple).items()]
+    for event in sim._queue.peek_events(len(sim._queue._heap)):
+        if event is monitor or getattr(event.callback, '__self__',
+                                       None) is ple:
+            continue
+        keyed.append((event.time, event.seq,
+                      (event.callback.__qualname__,
+                       tuple(_name(a) for a in event.args))))
+    return [(t, what) for t, __, what in sorted(keyed)]
+
+
+def _snapshot(sim, machine, kernels):
     """Every value a PLE exit can touch, by name."""
     vcpus = [vcpu for vm in machine.vms for vcpu in vm.vcpus]
+    gcpus = [g for kernel in kernels for g in kernel.gcpus]
     return {
         'now': sim.now,
-        'seq': sim._queue._seq,
-        'live': len(sim._queue),
-        'counters': dict(sim.trace.counters),
+        'pending': _pending_order(sim, machine),
+        # The sanitizer (REPRO_SANITIZER=1) counts its checks per event.
+        'counters': {name: n for name, n in sim.trace.counters.items()
+                     if not name.startswith('sanitizer.')},
         'pcpus': [(p.current and p.current.name, [v.name for v in p.runq],
                    p.preempt_deferred, p.busy_ns) for p in machine.pcpus],
-        'vcpus': [(v.name, v.runstate, v.run_ns, v.steal_ns, v.preemptions,
-                   v.slice_start, v.priority, list(v.pending_virqs),
-                   _key(v.ple_window))
+        'vcpus': [(v.name, v.runstate, v.runstate_since, v.run_ns,
+                   v.steal_ns, v.blocked_ns, v.preemptions, v.slice_start,
+                   v.priority, v.credits, list(v.pending_virqs))
                   for v in vcpus],
         'gcpus': [(g.name, g.busy_ns, g.rq.min_vruntime, g.run_started_at,
-                   len(g.pending_work), _key(g.tick_event),
-                   _key(g.quantum_event))
-                  for g in kernel.gcpus],
-        'tasks': [(t.name, t.state, t.vruntime, t.cpu_ns, t.spinning)
-                  for t in kernel.tasks],
+                   len(g.pending_work), g.tick_count,
+                   g.tick_event and (g.tick_event.time,
+                                     g.tick_event.pending),
+                   g.quantum_event and (g.quantum_event.time,
+                                        g.quantum_event.pending))
+                  for g in gcpus],
+        'tasks': [(t.name, t.state, t.vruntime, t.cpu_ns, t.stint_ns,
+                   t.spinning)
+                  for kernel in kernels for t in kernel.tasks],
     }
 
 
-def _spinner_at_its_window(queued, spinner_priority, case):
+def _spinner_at_its_window(queued, spinner_priority, case, reference=False):
     """A PLE machine whose vCPU ``par.v0`` spins on pCPU 0, one ns
     before its window expires, with ``queued`` (priority, co-stopped)
-    vCPUs of another VM on pCPU 0's runqueue and ``case`` applied."""
+    vCPUs of another VM on pCPU 0's runqueue and ``case`` applied.
+    ``reference`` installs :class:`PerWindowPle` with full-switch
+    exits instead of the folding monitor."""
     sim = Simulator(seed=1)
     machine = Machine(sim, n_pcpus=2)
     apply_strategy(machine, 'ple')
+    if reference:
+        machine.ple = PerWindowPle(machine, in_place=False)
     vm, kernel = build_vm(sim, machine, 'par', n_vcpus=2, pinning=[0, 1])
     others = VM('q', max(len(queued), 1), sim)
     machine.add_vm(others, pinning=[0] * others.n_vcpus)
@@ -306,7 +380,7 @@ def _spinner_at_its_window(queued, spinner_priority, case):
     machine.start()
     spinner, pcpu = vm.vcpus[0], machine.pcpus[0]
     sim.run_until(400 * US)
-    expiry = spinner.ple_window.time
+    expiry = _window_keys(machine.ple)[spinner][0]
     sim.run_until(expiry - 1)
     for vcpu, (priority, costopped) in zip(others.vcpus, queued):
         vcpu.set_runstate('runnable', sim.now)
@@ -340,15 +414,9 @@ class TestInPlacePleExit:
         preemption or stopper work)."""
         fired = _spinner_at_its_window(queued, spinner_priority, case)
         sim, machine, kernel, spinner, pcpu, expiry = fired
-        reference = _spinner_at_its_window(queued, spinner_priority, case)
-        ref_sim, ref_machine, ref_kernel, ref_spinner = reference[:4]
-
-        def force_yield_exit(vcpu):
-            # The full switch: a re-picked spinner's guest start runs
-            # its task, whose spin re-arms the window (on_spin_start).
-            ref_sim.trace.count('ple.exits')
-            ref_machine.scheduler.force_yield(vcpu)
-        ref_spinner.ple_window.callback = force_yield_exit
+        reference = _spinner_at_its_window(queued, spinner_priority, case,
+                                           reference=True)
+        ref_sim, ref_machine, ref_kernel = reference[:3]
         switches = []
         switch = machine.scheduler._switch
         machine.scheduler._switch = lambda *a: (switches.append(a),
@@ -363,12 +431,112 @@ class TestInPlacePleExit:
 
         assert sim.trace.counters['ple.exits'] == exits + 1
         assert (switches == []) == in_place
-        assert _snapshot(sim, machine, kernel) == _snapshot(
-            ref_sim, ref_machine, ref_kernel)
+        assert _snapshot(sim, machine, [kernel]) == _snapshot(
+            ref_sim, ref_machine, [ref_kernel])
         if in_place:
-            assert pcpu.current is spinner and spinner.ple_window.pending
-            assert spinner.ple_window.time == expiry + 50 * US
+            assert pcpu.current is spinner
+            assert machine.ple.windows[spinner][0] == expiry + 50 * US
         sim.run_until(expiry + 3 * MS)
         ref_sim.run_until(expiry + 3 * MS)
-        assert _snapshot(sim, machine, kernel) == _snapshot(
-            ref_sim, ref_machine, ref_kernel)
+        assert _snapshot(sim, machine, [kernel]) == _snapshot(
+            ref_sim, ref_machine, [ref_kernel])
+
+
+def _fold_machine(params, reference):
+    """Three spinners of one VM (``par.v0`` shares pCPU 0 with a hog VM
+    that sleeps and wakes) wait on a lock that ``par.v3`` holds for
+    ``hold`` and then releases, with a vIRQ at ``virq_at``. A
+    ``weight`` other than 1024 makes a spin charge round. Equal
+    ``offsets`` start spins at one instant, so their windows share
+    their instants. ``reference`` installs :class:`PerWindowPle`
+    instead of the folding monitor."""
+    sim = Simulator(seed=5)
+    machine = Machine(sim, n_pcpus=4)
+    apply_strategy(machine, 'ple')
+    if reference:
+        machine.ple = PerWindowPle(machine)
+    vm, kernel = build_vm(sim, machine, 'par', n_vcpus=4,
+                          pinning=[0, 1, 2, 3])
+    __, hog_kernel = build_vm(sim, machine, 'hog', pinning=[0])
+    lock = SpinLock('l')
+
+    def holder():
+        while True:
+            yield Acquire(lock)
+            yield Compute(params['hold'])
+            yield Release(lock)
+            yield Compute(100 * US)
+
+    def waiter(offset):
+        yield Compute(offset)
+        while True:
+            yield Acquire(lock)
+            yield Compute(params['critical'])
+            yield Release(lock)
+            yield Compute(params['think'])
+
+    def hog():
+        while True:
+            yield Sleep(params['hog_sleep'])
+            yield Compute(params['hog_burst'])
+    kernel.spawn('holder', holder(), gcpu_index=3)
+    for i, offset in enumerate(params['offsets']):
+        kernel.spawn('w%d' % i, waiter(offset), gcpu_index=i,
+                     weight=params['weight'])
+    hog_kernel.spawn('hog', hog(), gcpu_index=0)
+    machine.start()
+    target = vm.vcpus[params['virq_vcpu']]
+
+    def virq():
+        if params['pend_virq'] and target.is_running:
+            # Pended on a running spinner: its next exit is a switch.
+            target.pending_virqs.append(VIRQ_TIMER)
+        else:
+            machine.channels.send_virq(target, VIRQ_TIMER)
+    sim.at(params['virq_at'], virq)
+    return sim, machine, [kernel, hog_kernel]
+
+
+_US_STEPS = st.integers(1, 400).map(lambda n: n * 10 * US)
+
+
+class TestPleFold:
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.fixed_dictionaries({
+               'hold': st.integers(1, 8).map(lambda n: n * MS),
+               'critical': _US_STEPS,
+               'think': _US_STEPS,
+               'offsets': st.one_of(
+                   _US_STEPS.map(lambda t: (t, t, t)),
+                   st.tuples(_US_STEPS, _US_STEPS).map(
+                       lambda p: (p[0], p[0], p[1])),
+                   st.tuples(_US_STEPS, _US_STEPS, _US_STEPS)),
+               'hog_sleep': st.integers(1, 60).map(lambda n: n * 100 * US),
+               'hog_burst': st.integers(1, 30).map(lambda n: n * 100 * US),
+               'virq_at': st.integers(1, 25 * MS),
+               'virq_vcpu': st.integers(0, 2),
+               'weight': st.sampled_from([1024, 1000, 335]),
+               'pend_virq': st.booleans()}),
+           stops=st.lists(st.one_of(
+               st.integers(1, 25 * MS),
+               st.integers(1, 500).map(lambda n: n * 50 * US),
+               st.integers(1, 500).map(lambda n: n * 50 * US + 1)),
+               min_size=1, max_size=4))
+    def test_matches_a_window_per_exit(self, params, stops):
+        """The folding monitor leaves the machine, at every
+        ``run_until`` end, as a monitor that fires and re-arms every
+        50 us window does: counters, runstates, slices, vruntimes,
+        busy time, min_vruntime, tick times, and the order of every
+        pending event and window. The runs cover same-phase spinners, a
+        hog waking onto a spinner's pCPU, a vIRQ, lock releases and the
+        credit ticks at 10 and 20 ms."""
+        sim, machine, kernels = _fold_machine(params, reference=False)
+        ref_sim, ref_machine, ref_kernels = _fold_machine(params,
+                                                          reference=True)
+        for stop in sorted(set(stops)) + [25 * MS]:
+            sim.run_until(stop)
+            ref_sim.run_until(stop)
+            assert _snapshot(sim, machine, kernels) == _snapshot(
+                ref_sim, ref_machine, ref_kernels)
+        assert sim.trace.counters['ple.exits'] > 0
+        assert sim.events_processed < ref_sim.events_processed

@@ -164,26 +164,43 @@ class TestExecutors:
         assert excinfo.value.spec == bad
 
 
+@pytest.fixture(scope='module')
+def serial_table(tmp_path_factory):
+    """``serial_table(driver)`` -> ``(table, cache)``: the driver's
+    quick table from a serial pass through a cold result cache, which
+    that pass fills. Computed once per driver for the module, so each
+    figure's serial table costs one pass."""
+    computed = {}
+
+    def compute(driver):
+        if driver not in computed:
+            cache = ResultCache(
+                root=str(tmp_path_factory.mktemp(driver.__name__)))
+            table = driver(quick=True, run=_runner(cache=cache)).table()
+            computed[driver] = (table, cache)
+        return computed[driver]
+    return compute
+
+
 class TestFigureEquivalence:
     """Acceptance: ParallelRunner and SerialExecutor produce
     byte-identical figure tables, and a cached second invocation does
     not dispatch a single simulation."""
 
-    def test_fig5_quick_parallel_bit_identical(self):
-        serial = fig5(quick=True).table()
+    def test_fig5_quick_parallel_bit_identical(self, serial_table):
+        serial, __ = serial_table(fig5)
         parallel = fig5(quick=True, run=_runner(ParallelRunner(jobs=4)))
         assert parallel.table() == serial
 
-    def test_fig10_quick_parallel_bit_identical(self):
-        serial = fig10(quick=True).table()
+    def test_fig10_quick_parallel_bit_identical(self, serial_table):
+        serial, __ = serial_table(fig10)
         parallel = fig10(quick=True, run=_runner(ParallelRunner(jobs=4)))
         assert parallel.table() == serial
 
-    def test_fig5_quick_cached_second_run_is_free(self, tmp_path):
-        run = _runner(cache=ResultCache(root=str(tmp_path)))
-        first = fig5(quick=True, run=run).table()
+    def test_fig5_quick_cached_second_run_is_free(self, serial_table):
+        first, cache = serial_table(fig5)
         mid = _counters()
-        second = fig5(quick=True, run=run).table()
+        second = fig5(quick=True, run=_runner(cache=cache)).table()
         after = _counters()
         assert second == first
         assert _delta(after, mid, 'executor.dispatched') == 0
@@ -191,11 +208,10 @@ class TestFigureEquivalence:
         assert _delta(after, mid, 'runcache.miss') == 0
         assert _delta(after, mid, 'runcache.hit') > 0
 
-    def test_fig10_quick_cached_second_run_is_free(self, tmp_path):
-        run = _runner(cache=ResultCache(root=str(tmp_path)))
-        first = fig10(quick=True, run=run).table()
+    def test_fig10_quick_cached_second_run_is_free(self, serial_table):
+        first, cache = serial_table(fig10)
         mid = _counters()
-        second = fig10(quick=True, run=run).table()
+        second = fig10(quick=True, run=_runner(cache=cache)).table()
         after = _counters()
         assert second == first
         assert _delta(after, mid, 'executor.dispatched') == 0
