@@ -15,6 +15,7 @@ including a subclass of one in it, raises ``TypeError``.
 """
 
 from ..workloads import actions as act
+from ..workloads.actions import Compute
 
 # Safety valve: a program may chain zero-cost actions (lock ops),
 # but an unbounded chain means a broken workload definition.
@@ -61,9 +62,9 @@ class ActionInterpreter:
                     kernel._exit_current(gcpu)
                     return
                 task.action = action
-                if isinstance(action, act.Compute):
+                if isinstance(action, Compute):
                     task.remaining_ns = action.duration_ns
-            if isinstance(action, act.Compute):
+            if isinstance(action, Compute):
                 if task.remaining_ns <= 0:
                     # A drained (or zero-length) segment is a zero-time
                     # step too: Compute(0) forever must hit the guard.

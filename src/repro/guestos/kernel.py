@@ -20,7 +20,7 @@ that ``install_delayed_preemption`` assigns, and the IRS hooks
 """
 
 from ..hypervisor.hypercalls import SCHEDOP_BLOCK, SCHEDOP_YIELD
-from ..workloads import actions as act
+from ..workloads.actions import Compute
 from .balancer import GuestBalancer
 from .cfs import CfsConfig, CfsPolicy
 from .gcpu import GuestCpu
@@ -149,7 +149,7 @@ class GuestKernel:
 
     def _apply_migration_penalty(self, task):
         """Cold caches: extend the in-flight compute segment."""
-        if isinstance(task.action, act.Compute) and task.remaining_ns > 0:
+        if isinstance(task.action, Compute) and task.remaining_ns > 0:
             penalty = int(self.policy.config.migration_penalty_ns *
                           task.cache_footprint)
             task.remaining_ns += penalty
@@ -303,7 +303,7 @@ class GuestKernel:
         delta = now - gcpu.run_started_at
         if delta > 0:
             task.charge(delta)
-            if not task.spinning and isinstance(task.action, act.Compute):
+            if not task.spinning and isinstance(task.action, Compute):
                 remaining = task.remaining_ns - delta
                 task.remaining_ns = remaining if remaining > 0 else 0
             gcpu.busy_ns += delta

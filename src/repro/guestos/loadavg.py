@@ -26,10 +26,12 @@ class RtAvgTracker:
         run, steal, __ = vcpu.snapshot_accounting(sim.now)
         self._last_run = run
         self._last_steal = steal
-        # exp(-elapsed / tau) for the last elapsed seen: ticks repeat
-        # the same interval, and equal inputs give equal bits.
+        # exp(-elapsed / tau) and 1 - that for the last elapsed seen:
+        # ticks repeat the same interval, and equal inputs give equal
+        # bits.
         self._decay_elapsed = None
         self._decay = 1.0
+        self._gain = 0.0
 
     def update(self):
         """Fold in everything since the last update; return the avg."""
@@ -41,18 +43,19 @@ class RtAvgTracker:
         if elapsed != self._decay_elapsed:
             self._decay_elapsed = elapsed
             self._decay = exp(-elapsed / self.tau_ns)
+            self._gain = 1.0 - self._decay
         decay = self._decay
         vcpu = self.vcpu
         if vcpu.is_running and vcpu.runstate_since <= last:
             # It ran all of (last, now]: busy == elapsed, so the
             # fraction is exactly 1.0 and steal did not move. Same bits
             # as the general fold, without the snapshot.
-            self.value = decay * self.value + (1.0 - decay)
+            self.value = decay * self.value + self._gain
             self._last_run += elapsed
         else:
             run, steal, __ = vcpu.snapshot_accounting(now)
             busy = (run - self._last_run) + (steal - self._last_steal)
-            self.value = decay * self.value + (1.0 - decay) * (busy / elapsed)
+            self.value = decay * self.value + self._gain * (busy / elapsed)
             self._last_run = run
             self._last_steal = steal
         self._last_time = now

@@ -35,6 +35,7 @@ class Task:
         self.tid = Task._next_id
         self.name = name
         self.program = iter(program)
+        self._send = getattr(self.program, 'send', None)  # None: no send
         self._program_started = False
         self.weight = weight
         # Scales the cache-refill penalty paid on cross-vCPU migration;
@@ -74,8 +75,8 @@ class Task:
         ``QueueGet``), so programs can write ``item = yield QueueGet(q)``.
         """
         try:
-            if self._program_started and hasattr(self.program, 'send'):
-                return self.program.send(send_value)
+            if self._program_started and self._send is not None:
+                return self._send(send_value)
             self._program_started = True
             return next(self.program)
         except StopIteration:

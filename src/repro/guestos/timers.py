@@ -14,7 +14,7 @@ the hypervisor deschedules it, the guest's timers simply stop, which is
 the semantic gap IRS exists to bridge.
 """
 
-from ..workloads import actions as act
+from ..workloads.actions import Compute
 
 
 class TimerService:
@@ -53,6 +53,10 @@ class TickDriver:
     def __init__(self, kernel):
         self.kernel = kernel
         self.sim = kernel.sim
+        # Bound once: the tick reads them on every firing.
+        config = kernel.policy.config
+        self.tick_ns = config.tick_ns
+        self.balance_interval_ticks = config.balance_interval_ticks
 
     # ------------------------------------------------------------------
     # Compute quantum (fires when the running segment drains)
@@ -78,7 +82,7 @@ class TickDriver:
         kernel = self.kernel
         kernel._checkpoint(gcpu, self.sim.now)
         task = gcpu.current
-        if task is not None and isinstance(task.action, act.Compute) \
+        if task is not None and isinstance(task.action, Compute) \
                 and task.remaining_ns <= 0:
             task.action = None
         kernel.interp.run(gcpu)
@@ -91,8 +95,7 @@ class TickDriver:
         event = gcpu.tick_event
         if event is None or event.seq <= 0:
             gcpu.tick_event = self.sim.rearm(
-                event, self.kernel.policy.config.tick_ns, self._on_tick,
-                gcpu)
+                event, self.tick_ns, self._on_tick, gcpu)
 
     def rearm_tick_at(self, gcpu, start):
         """Cancel the tick and re-arm it one period after ``start`` (at
@@ -102,7 +105,7 @@ class TickDriver:
         if event is not None:
             event.cancel()
         gcpu.tick_event = self.sim.rearm(
-            event, start + self.kernel.policy.config.tick_ns - self.sim.now,
+            event, start + self.tick_ns - self.sim.now,
             self._on_tick, gcpu)
 
     def cancel_tick(self, gcpu):
@@ -113,26 +116,25 @@ class TickDriver:
         """Guest timer tick: accounting, balancing, CFS preemption."""
         if not gcpu.vcpu.is_running or gcpu.in_sa_handler:
             return
-        kernel = self.kernel
-        policy = kernel.policy
-        config = policy.config
+        sim = self.sim
         gcpu.tick_count += 1
         # arm_tick() inlined: gcpu.tick_event is the handle firing now.
-        self.sim.again(config.tick_ns)
+        sim.again(self.tick_ns)
         gcpu.rt.update()
         task = gcpu.current
         if task is None:
             return
-        kernel._checkpoint(gcpu, self.sim.now)
+        kernel = self.kernel
+        kernel._checkpoint(gcpu, sim.now)
         rq = gcpu.rq
-        if gcpu.tick_count % config.balance_interval_ticks == 0:
-            kernel.balancer.periodic_balance(gcpu, self.sim.now)
-            if rq.nr_ready > 0:
+        if gcpu.tick_count % self.balance_interval_ticks == 0:
+            kernel.balancer.periodic_balance(gcpu, sim.now)
+            if rq._entries:
                 self.nohz_kick(gcpu)
         # Mirrors the empty-queue early return of
         # CfsPolicy.should_resched_at_tick: no ready task, no resched.
-        if gcpu.current is task and rq.nr_ready \
-                and policy.should_resched_at_tick(task, rq):
+        if gcpu.current is task and rq._entries \
+                and kernel.policy.should_resched_at_tick(task, rq):
             kernel._preempt_current(gcpu)
 
     def nohz_kick(self, busy_gcpu):

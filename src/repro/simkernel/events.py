@@ -101,11 +101,11 @@ class EventQueue:
     Every push happens outside this class:
     :meth:`Simulator.after <repro.simkernel.simulation.Simulator.after>`,
     ``Simulator.rearm``, ``rearm_at`` and ``again`` push onto ``_heap``
-    directly, and :func:`settle_head` (which ``Simulator.run_until``
-    calls inline) pushes a re-keyed entry back. They depend on the
-    ``(time, seq, event)`` entry layout and on ``_seq``, the count of
-    drawn keys (``Simulator.reserve_seq`` draws one without a push); a
-    change to either updates them too.
+    directly, and :func:`settle_head` (which :meth:`pop` and
+    ``Simulator.peek_key`` call) pushes a re-keyed entry back. They
+    depend on the ``(time, seq, event)`` entry layout and on ``_seq``,
+    the count of drawn keys (``Simulator.reserve_seq`` draws one without
+    a push); a change to either updates them too.
     """
 
     def __init__(self):
@@ -116,18 +116,22 @@ class EventQueue:
         """Number of pending events. O(heap): for diagnostics only."""
         return sum(1 for entry in self._heap if entry[2].seq > 0)
 
-    def pop(self):
-        """Remove and return the earliest live event, or None if empty.
+    def pop(self, until=None):
+        """Remove and return the earliest live event, or None if the
+        queue is empty or (with ``until``) that event is due later than
+        ``until``, in which case it stays queued.
 
         The returned event is marked fired; the caller invokes its
         callback. Stale heads are settled on the way (see
-        :func:`settle_head`).
+        :func:`settle_head`), before the bound is compared.
         """
         heap = self._heap
         while heap:
             entry = heap[0]
             event = entry[2]
             if entry[1] == event.seq:
+                if until is not None and entry[0] > until:
+                    return None
                 heappop(heap)
                 event.seq = FIRED_SEQ
                 return event

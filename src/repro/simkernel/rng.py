@@ -39,7 +39,9 @@ def jittered_draw(stream, base_ns, jitter_fraction=0.1):
     spread = int(base_ns * jitter_fraction)
     if spread == 0:
         return base_ns
-    return base_ns + stream.randint(-spread, spread)
+    # randint(-spread, spread) without its two wrapper calls: the same
+    # draw from the same stream state, so the same bits.
+    return base_ns - spread + stream.randrange(2 * spread + 1)
 
 
 class RngRegistry:

@@ -198,7 +198,7 @@ class Simulator:
     def peek_key(self):
         """The ``(time, seq)`` key of the next live event, or None when
         none is queued. Stale heads are settled on the way, as
-        :meth:`run_until` would settle them."""
+        ``EventQueue.pop`` would settle them."""
         heap = self._queue._heap
         while heap:
             entry = heap[0]
@@ -260,12 +260,14 @@ class Simulator:
         """Make the current run loop return after the in-flight event."""
         self._stopped = True
 
-    def step(self):
-        """Process one event. Returns False when the queue is empty.
+    def step(self, until=None):
+        """Process one event. Returns False when the queue is empty or,
+        with ``until``, when the next event is due later than ``until``
+        (nothing is then popped and the clock does not move).
 
         The only dispatcher: besides ``EventQueue.pop`` it calls just the
         event's callback and the post-event hooks (DESIGN.md §7)."""
-        event = self._queue.pop()
+        event = self._queue.pop(until)
         if event is None:
             return False
         time = event.time
@@ -302,25 +304,15 @@ class Simulator:
         step = self.step
         self.run_end = end_time
         try:
-            # The heap head is inspected once per event here (a stale
-            # one is settled first); step() then pops that same (live)
-            # head.
             while not self._stopped:
-                if heap:
-                    entry = heap[0]
-                    if entry[1] != entry[2].seq:
-                        settle_head(heap)
-                        continue
-                    if entry[0] <= end_time:
-                        step()
-                        processed += 1
-                        if max_events is not None and processed > max_events:
-                            raise LivelockError(max_events,
-                                                'before %d' % end_time,
-                                                self._queue, self.now)
-                        continue
-                self.now = max(self.now, end_time)
-                break
+                # An empty heap skips the call: pop would return None.
+                if not (heap and step(end_time)):
+                    self.now = max(self.now, end_time)
+                    break
+                processed += 1
+                if max_events is not None and processed > max_events:
+                    raise LivelockError(max_events, 'before %d' % end_time,
+                                        self._queue, self.now)
         finally:
             self.run_end = None
         return processed

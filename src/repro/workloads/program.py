@@ -51,19 +51,28 @@ def barrier_phases(sim, stream, barrier, phase_ns, phases, jitter=0.0,
     between regions, so every ``region_every``-th phase crosses the
     (blocking) region barrier instead. Those occasional sleeps are what
     expose spinning workloads to hypervisor wake placement.
+
+    Actions are never mutated by the interpreter, so the loop-invariant
+    ones are built once per program.
     """
+    if critical is not None:
+        mutex, hold_ns = critical
+        acquire, hold, release = (Acquire(mutex), Compute(hold_ns),
+                                  Release(mutex))
+    phase_wait = BarrierWait(barrier)
+    region_wait = (BarrierWait(region_barrier)
+                   if region_barrier is not None and region_every > 0
+                   else None)
     for index in range(phases):
         yield Compute(_draw(sim, stream, phase_ns, jitter))
         if critical is not None:
-            mutex, hold_ns = critical
-            yield Acquire(mutex)
-            yield Compute(hold_ns)
-            yield Release(mutex)
-        if (region_barrier is not None and region_every > 0
-                and (index + 1) % region_every == 0):
-            yield BarrierWait(region_barrier)
+            yield acquire
+            yield hold
+            yield release
+        if region_wait is not None and (index + 1) % region_every == 0:
+            yield region_wait
         else:
-            yield BarrierWait(barrier)
+            yield phase_wait
         if on_phase is not None:
             on_phase(sim.now)
 
@@ -72,11 +81,13 @@ def mutex_loop(sim, stream, mutex, compute_ns, critical_ns, iterations,
                jitter=0.0, on_iteration=None):
     """Point-to-point synchronization: compute, then a lock-protected
     critical section (x264/canneal/fluidanimate-style)."""
+    acquire, hold, release = (Acquire(mutex), Compute(critical_ns),
+                              Release(mutex))
     for __ in range(iterations):
         yield Compute(_draw(sim, stream, compute_ns, jitter))
-        yield Acquire(mutex)
-        yield Compute(critical_ns)
-        yield Release(mutex)
+        yield acquire
+        yield hold
+        yield release
         if on_iteration is not None:
             on_iteration(sim.now)
 

@@ -56,6 +56,42 @@ class TestScheduleAndPop:
         assert event.args == ('x', 'y')
 
 
+class TestBoundedPop:
+    """``EventQueue.pop(until)`` takes the head only when it is due no
+    later than ``until``."""
+
+    def test_event_due_exactly_at_until_pops(self):
+        sim = Simulator()
+        event = sim.at(50, lambda: None)
+        assert sim._queue.pop(50) is event and event.fired
+
+    def test_later_head_stays_queued(self):
+        sim = Simulator()
+        event = sim.at(51, lambda: None)
+        heap = list(sim._queue._heap)
+        assert sim._queue.pop(50) is None
+        assert sim._queue._heap == heap and event.pending
+        assert sim._queue.pop() is event
+
+    def test_cancelled_head_is_dropped_before_the_bound(self):
+        sim = Simulator()
+        cancelled = sim.at(70, lambda: None)
+        later = sim.at(80, lambda: None)
+        cancelled.cancel()
+        assert sim._queue.pop(50) is None
+        assert cancelled.seq == DROPPED_SEQ
+        assert [entry[2] for entry in sim._queue._heap] == [later]
+
+    def test_rekeyed_head_is_compared_at_its_new_key(self):
+        sim = Simulator()
+        handle = sim.at(10, lambda: None)
+        handle.cancel()
+        sim.rearm(handle, 60, lambda: None)
+        assert sim._queue.pop(50) is None
+        assert sim._queue._heap == [(60, handle.seq, handle)]
+        assert sim._queue.pop(60) is handle
+
+
 class TestCancellation:
     def test_cancelled_event_not_popped(self):
         sim = Simulator()

@@ -176,6 +176,40 @@ class TestRunning:
         assert stamps == sorted(stamps)
 
 
+class TestBoundedStep:
+    """``step(until)``: the one dispatcher, with the bound ``run_until``
+    passes it."""
+
+    def test_event_due_exactly_at_until_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.at(500, lambda: fired.append(sim.now))
+        assert sim.step(500)
+        assert fired == [500] and sim.now == 500
+        assert sim.events_processed == 1
+
+    def test_later_head_is_left_untouched(self):
+        sim = Simulator()
+        sim.at(100, lambda: None)
+        sim.run_until(100)
+        later = sim.at(501, lambda: None)
+        heap = list(sim._queue._heap)
+        assert not sim.step(500)
+        assert sim._queue._heap == heap and later.pending
+        assert sim.now == 100 and sim.events_processed == 1
+        assert sim.last_event is not later
+
+    def test_stale_head_is_settled_before_the_bound(self):
+        sim = Simulator()
+        fired = []
+        sim.at(600, fired.append, 'cancelled').cancel()
+        sim.at(700, fired.append, 'late')
+        assert not sim.step(500)
+        assert [entry[0] for entry in sim._queue._heap] == [700]
+        assert sim.now == 0 and fired == []
+        assert sim.step(700) and fired == ['late']
+
+
 class TestRunUntilEdges:
     def test_only_cancelled_events_advance_clock_to_end(self):
         sim = Simulator()
