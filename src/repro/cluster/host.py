@@ -201,11 +201,10 @@ class Host:
         kernel = vm.guest
         if kernel is not None:
             # The kernel captured the source machine (and its hypercall
-            # facade) at construction; repoint both, plus the IRS
-            # migrator's facade, or hypercalls would land on the old
-            # host.
-            kernel.machine = self.machine
-            kernel.hypercalls = self.machine.hypercalls
+            # facade and tick timer) at construction; repoint them, plus
+            # the IRS migrator's facade, or hypercalls would land on the
+            # old host.
+            kernel.bind_machine(self.machine)
             if kernel.sa_receiver is not None:
                 kernel.sa_receiver.migrator.hypercalls = \
                     self.machine.hypercalls

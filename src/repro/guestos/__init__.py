@@ -22,7 +22,7 @@ from .task import (
     TASK_SLEEPING,
     Task,
 )
-from .timers import TickDriver, TimerService
+from .timers import TickDriver, TickTimer, TimerService
 
 __all__ = [
     'ActionInterpreter',
@@ -44,5 +44,6 @@ __all__ = [
     'TASK_RUNNING',
     'TASK_SLEEPING',
     'TickDriver',
+    'TickTimer',
     'TimerService',
 ]

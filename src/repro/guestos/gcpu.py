@@ -1,8 +1,8 @@
 """Per-vCPU guest CPU state.
 
 A :class:`GuestCpu` is the guest kernel's view of one vCPU: runqueue,
-current task, timer handles, load tracking, and the SA flag the rest
-of the guest layer keys off.
+current task, quantum handle, tick count, load tracking, and the SA
+flag the rest of the guest layer keys off.
 """
 
 from .loadavg import RtAvgTracker
@@ -10,7 +10,7 @@ from .runqueue import RunQueue
 
 
 class GuestCpu:
-    """Per-vCPU guest state: runqueue, current task, timers, load."""
+    """Per-vCPU guest state: runqueue, current task, quantum, load."""
 
     def __init__(self, kernel, vcpu, index):
         self.kernel = kernel
@@ -23,7 +23,6 @@ class GuestCpu:
         # None whenever the task is not actually consuming cycles.
         self.run_started_at = None
         self.quantum_event = None
-        self.tick_event = None
         self.tick_count = 0
         self.rt = RtAvgTracker(vcpu, kernel.sim)
         # Stopper work (e.g. migration requests) run at next dispatch.

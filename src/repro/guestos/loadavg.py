@@ -33,9 +33,12 @@ class RtAvgTracker:
         self._decay = 1.0
         self._gain = 0.0
 
-    def update(self):
-        """Fold in everything since the last update; return the avg."""
-        now = self.sim.now
+    def update(self, now=None):
+        """Fold in everything since the last update, up to ``now`` (by
+        default the clock; never before the last update); return the
+        avg."""
+        if now is None:
+            now = self.sim.now
         last = self._last_time
         elapsed = now - last
         if elapsed <= 0:
@@ -60,3 +63,21 @@ class RtAvgTracker:
             self._last_steal = steal
         self._last_time = now
         return self.value
+
+    def fold_periods(self, period, count):
+        """``count`` more updates, each ``period`` after the one before,
+        while the vCPU runs throughout: one fold per period, with the
+        bits of :meth:`update` at each."""
+        if period != self._decay_elapsed:
+            self._decay_elapsed = period
+            self._decay = exp(-period / self.tau_ns)
+            self._gain = 1.0 - self._decay
+        decay = self._decay
+        gain = self._gain
+        value = self.value
+        for __ in range(count):
+            value = decay * value + gain
+        self.value = value
+        span = period * count
+        self._last_run += span
+        self._last_time += span

@@ -65,7 +65,8 @@ class Simulator:
             :mod:`repro.simkernel.sanitizer`); machines attach
             themselves to it on construction when present.
         run_end: the end time of the :meth:`run_until` call in
-            progress, None outside one.
+            progress, None outside one (and once :meth:`stop` is
+            called).
     """
 
     def __init__(self, seed=0):
@@ -225,6 +226,22 @@ class Simulator:
         seq = event.seq = queue._seq = queue._seq + 1
         heappush(queue._heap, (time, seq, event))
 
+    def again_at(self, time, seq):
+        """Re-arm the event being dispatched at the explicit key
+        ``(time, seq)``, drawn earlier with :meth:`reserve_seq`, with
+        its own callback and args: :meth:`again` for a keyed timer.
+        Raises :class:`SimulationError` outside a dispatch, on a second
+        call from the same callback and for a time before now."""
+        event = self._firing
+        if event is None or event.seq != FIRED_SEQ:
+            raise SimulationError('again_at() needs the firing event')
+        if time < self.now:
+            raise SimulationError(
+                'cannot schedule at %d, now is %d' % (time, self.now))
+        event.time = time
+        event.seq = seq
+        heappush(self._queue._heap, (time, seq, event))
+
     def call_soon(self, callback, *args):
         """Schedule ``callback(*args)`` at the current time (after any
         event currently firing completes)."""
@@ -257,8 +274,10 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def stop(self):
-        """Make the current run loop return after the in-flight event."""
+        """Make the current run loop return after the in-flight event.
+        :attr:`run_end` is None from here on: the caller acts next."""
         self._stopped = True
+        self.run_end = None
 
     def step(self, until=None):
         """Process one event. Returns False when the queue is empty or,

@@ -246,9 +246,10 @@ class TestSwitch:
         assert after == tuple(n + 1 for n in before)
         assert pcpu.current is spinner and pcpu.runq == []
         assert spinner.slice_start == expiry
-        tick = spinner.gcpu.tick_event
-        assert tick.pending
-        assert tick.time == expiry + kernel.policy.config.tick_ns
+        ticks = machine.guest_ticks
+        assert ticks.keys[spinner.gcpu][0] == (
+            expiry + kernel.policy.config.tick_ns)
+        assert ticks.event.pending
         assert machine.ple.windows[spinner][0] == expiry + 50 * US
         assert machine.ple.event.pending
 
@@ -302,18 +303,30 @@ def _name(arg):
     return getattr(arg, 'name', type(arg).__name__)
 
 
+def _tick_keys(ticks):
+    """Running gCPU -> key of its next guest tick, for the machine's
+    tick timer or a test's per-tick reference."""
+    if hasattr(ticks, 'handles'):
+        return {gcpu: (h.time, h.seq) for gcpu, h in ticks.handles.items()
+                if h.pending}
+    return {gcpu: (t, s) for gcpu, (t, s, __) in ticks.keys.items()}
+
+
 def _pending_order(sim, machine):
-    """Every pending event, and every PLE window, in firing order, as
-    ``(time, what)``: the per-window reference's window events and the
-    folding monitor's window keys read alike, and the monitor's own
-    event is left out (it stands for the windows)."""
+    """Every pending event, every PLE window and every guest tick, in
+    firing order, as ``(time, what)``: window and tick events of a
+    per-step reference and the keys of a folding monitor or tick timer
+    read alike, and the folding timers' own events are left out (they
+    stand for the keys)."""
     ple = machine.ple
-    monitor = getattr(ple, 'event', None)
+    ticks = machine.guest_ticks
     keyed = [(t, s, ('ple window', vcpu.name))
              for vcpu, (t, s) in _window_keys(ple).items()]
+    keyed += [(t, s, ('guest tick', gcpu.name))
+              for gcpu, (t, s) in _tick_keys(ticks).items()]
     for event in sim._queue.peek_events(len(sim._queue._heap)):
-        if event is monitor or getattr(event.callback, '__self__',
-                                       None) is ple:
+        owner = getattr(event.callback, '__self__', None)
+        if owner is not None and (owner is ple or owner is ticks):
             continue
         keyed.append((event.time, event.seq,
                       (event.callback.__qualname__,
@@ -339,8 +352,7 @@ def _snapshot(sim, machine, kernels):
                   for v in vcpus],
         'gcpus': [(g.name, g.busy_ns, g.rq.min_vruntime, g.run_started_at,
                    len(g.pending_work), g.tick_count,
-                   g.tick_event and (g.tick_event.time,
-                                     g.tick_event.pending),
+                   g.rt.value.hex(),
                    g.quantum_event and (g.quantum_event.time,
                                         g.quantum_event.pending))
                   for g in gcpus],

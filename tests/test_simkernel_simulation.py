@@ -512,6 +512,65 @@ class TestReservedKeys:
             sim.run_until(100)
         assert sim.run_end is None
 
+    def test_stop_clears_run_end_for_the_rest_of_the_event(self):
+        """After ``stop`` the caller acts next, so a model settling work
+        ahead of the clock must see no run end."""
+        sim = Simulator()
+        seen = []
+
+        def stop_then_look():
+            seen.append(sim.run_end)
+            sim.stop()
+            seen.append(sim.run_end)
+        sim.after(5, stop_then_look)
+        sim.after(6, seen.append, 'not reached')
+        assert sim.run_until(10) == 1
+        assert seen == [10, None] and sim.now == 5
+
+    def test_again_at_rearms_the_dispatched_event_at_a_reserved_key(self):
+        sim = Simulator()
+        results = []
+        reserved = []
+
+        def fire(name):
+            results.append((sim.now, name))
+            if len(results) == 1:
+                sim.again_at(20, reserved[0])
+        sim.after(10, fire, 'timer')
+        reserved.append(sim.reserve_seq())
+        sim.after(10, lambda: None)
+        sim.after(20, results.append, 'later draw')
+        heap = sim._queue._heap
+        sim.run_until(30)
+        # Drawn before the 'later draw' event: fires first at t=20, with
+        # its own callback and args, and nothing else was drawn.
+        assert results == [(10, 'timer'), (20, 'timer'), 'later draw']
+        assert sim._queue._seq == 4 and not heap
+
+    def test_again_at_refuses_outside_a_dispatch_twice_and_the_past(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.again_at(5, sim.reserve_seq())
+        errors = []
+
+        def twice():
+            sim.again_at(20, sim.reserve_seq())
+            try:
+                sim.again_at(30, sim.reserve_seq())
+            except SimulationError as error:
+                errors.append(error)
+
+        def past():
+            try:
+                sim.again_at(sim.now - 1, sim.reserve_seq())
+            except SimulationError as error:
+                errors.append(error)
+        sim.after(10, twice)
+        sim.after(11, past)
+        sim.run_until(15)
+        assert len(errors) == 2
+        assert sim.peek_key()[0] == 20
+
 
 def _periodic_model(sim, rearm):
     """Two chains with 10 ns and 15 ns periods plus one-shots at shared
