@@ -89,7 +89,8 @@ class Task:
     def charge(self, delta_ns):
         """Charge ``delta_ns`` of CPU to the task's accounting. The
         kernel separately decrements ``remaining_ns`` for compute
-        segments (spin time burns CPU without advancing the segment)."""
+        segments (spin time burns CPU without advancing the segment).
+        ``GuestKernel._checkpoint`` inlines it."""
         self.cpu_ns += delta_ns
         self.stint_ns += delta_ns
         self.vruntime += delta_ns * NICE_0_WEIGHT // self.weight
