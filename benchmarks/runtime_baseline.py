@@ -1,19 +1,21 @@
 """Timing harness for the run cache, the replint sweep, the perfbench
 workloads and the end-to-end wall times.
 
-Times each quick figure through a cold and then a warm result cache
-(the warm pass must dispatch no run) and one replint sweep, records one
-default-seed ``perfbench/run.py`` pass per workload (the calibrated
-``wall_ref_s``/``run_p50_ref_ms`` record the simulator's hot path),
-times the serial ``--no-cache`` quick CLI runs of fig5 and fig6 and the
-tier-1 suite, and writes ``BENCH_runtimes.json`` at the repo root.
+Times each quick figure through a cold and then a warm result cache in
+a fresh interpreter (the warm pass must dispatch no run) and one
+replint sweep, records one default-seed ``perfbench/run.py`` pass per
+workload (the calibrated ``wall_ref_s``/``run_p50_ref_ms`` record the
+simulator's hot path), times the serial ``--no-cache`` quick CLI runs
+of fig5 and fig6 and the tier-1 suite, and writes
+``BENCH_runtimes.json`` at the repo root.
 
-Each end-to-end time is recorded as ``{"parent": ..., "change": ...,
-"runs": N}``: the median of N runs (``--rounds``, default 1) of this
-checkout and, with ``--parent DIR``, of DIR, a checkout of the parent
-commit (made with ``git archive``), alternating the two each round so
-both are measured on the same host under the same load. Without
-``--parent``, ``parent`` is null.
+Each figure's ``cache_cold_s`` and each end-to-end time is recorded as
+``{"parent": ..., "change": ..., "runs": N}``: the median of N runs
+(``--rounds``, default 1) of this checkout and, with ``--parent DIR``,
+of DIR, a checkout of the parent commit (made with ``git archive``),
+alternating the two each round so both are measured on the same host
+under the same load. Without ``--parent``, ``parent`` is null. A
+figure's ``cache_warm_s`` is the median over this checkout's runs.
 
 Not collected by pytest (no ``test_`` prefix); run directly:
 
@@ -29,42 +31,40 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), '..', 'src'))
-
-from repro.experiments import (            # noqa: E402
-    ResultCache,
-    pipeline_counters,
-    run_specs,
-)
-from repro.experiments.figures import (    # noqa: E402
-    cluster_consolidation,
-    cluster_resilience,
-    fig1a,
-    fig10,
-    sa_overhead,
-    traffic_slo,
-)
-
+#: Recorded figure -> its driver in ``repro.experiments.figures``.
 FIGURES = {
-    'fig1a': fig1a,
-    'fig10-quick': fig10,
-    'sa_overhead': sa_overhead,
-    'cluster-consolidation': cluster_consolidation,
-    'cluster-resilience': cluster_resilience,
-    'traffic-slo': traffic_slo,
+    'fig1a': 'fig1a',
+    'fig10-quick': 'fig10',
+    'sa_overhead': 'sa_overhead',
+    'cluster-consolidation': 'cluster_consolidation',
+    'cluster-resilience': 'cluster_resilience',
+    'traffic-slo': 'traffic_slo',
 }
 
+#: Run in a checkout's fresh interpreter with the driver's name as its
+#: argument: one serial quick pass of the driver through a cold and
+#: then a warm result cache. Prints the two host times and the runs
+#: the warm pass dispatched.
+_FIGURE_PASS = """
+import functools, sys, tempfile, time
+from repro.experiments import ResultCache, figures, pipeline_counters, run_specs
+driver = getattr(figures, sys.argv[1])
 
-def _timed(driver, cache):
-    """Host seconds of one serial quick ``driver`` pass through
-    ``run_specs`` with the given cache."""
-    run = functools.partial(run_specs, cache=cache)
+def timed(cache):
     start = time.perf_counter()
-    driver(quick=True, run=run)
-    return round(time.perf_counter() - start, 4)
+    driver(quick=True, run=functools.partial(run_specs, cache=cache))
+    return time.perf_counter() - start
+
+with tempfile.TemporaryDirectory() as tmp:
+    cache = ResultCache(root=tmp)
+    cold = timed(cache)
+    before = pipeline_counters().get('executor.dispatched', 0)
+    warm = timed(cache)
+    dispatched = pipeline_counters().get('executor.dispatched', 0) - before
+print(cold, warm, dispatched)
+"""
 
 
 #: Wall-time budget for one full repro-lint sweep (all five passes over
@@ -139,57 +139,70 @@ END_TO_END = {
 }
 
 
-def _time_command(root, args):
-    """Host seconds of one run of ``args`` from ``root`` with its
-    ``src`` on ``PYTHONPATH``."""
+def _run(root, args, stdout=subprocess.DEVNULL):
+    """Run ``args`` from ``root`` with its ``src`` on ``PYTHONPATH``;
+    return the process (its output, with ``stdout=subprocess.PIPE``)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, 'src'))
     env.pop('REPRO_JOBS', None)
+    return subprocess.run([sys.executable] + args, cwd=root, env=env,
+                          check=True, stdout=stdout, text=True)
+
+
+def _time_command(root, args):
+    """Host seconds of one run of ``args`` from ``root``."""
     start = time.perf_counter()
-    subprocess.run([sys.executable] + args, cwd=root, env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+    _run(root, args)
     return time.perf_counter() - start
 
 
-def measure_end_to_end(change, parent, rounds):
+def _paired(roots, rounds, measure_one, digits):
+    """``{"parent", "change", "runs"}``: the median of ``rounds`` values
+    of ``measure_one(root)`` per checkout in ``roots``, the two
+    alternating in order each round (``parent`` is None when no parent
+    checkout is given)."""
+    values = {'change': [], 'parent': []}
+    for i in range(rounds):
+        order = ('parent', 'change') if i % 2 == 0 else ('change', 'parent')
+        for side in order:
+            if roots[side] is not None:
+                values[side].append(measure_one(roots[side]))
+    result = {side: round(statistics.median(v), digits) if v else None
+              for side, v in values.items()}
+    result['runs'] = rounds
+    return result
+
+
+def measure_end_to_end(roots, rounds):
     """``{name: {"parent", "change", "runs"}}`` for each
-    :data:`END_TO_END` command: the median host seconds of ``rounds``
-    serial runs per checkout, the two alternating in order each round
-    (``parent`` is None when no parent checkout is given)."""
-    roots = {'change': change, 'parent': parent}
+    :data:`END_TO_END` command, in host seconds."""
     results = {}
     for name, args in END_TO_END.items():
-        times = {'change': [], 'parent': []}
-        for i in range(rounds):
-            order = ('parent', 'change') if i % 2 == 0 else (
-                'change', 'parent')
-            for side in order:
-                if roots[side] is not None:
-                    times[side].append(_time_command(roots[side], args))
-        results[name] = {
-            side: round(statistics.median(values), 2) if values else None
-            for side, values in times.items()}
-        results[name]['runs'] = rounds
+        results[name] = _paired(
+            roots, rounds, functools.partial(_time_command, args=args), 2)
         print(f'{name}: {results[name]}')
     return results
 
 
-def measure():
+def measure_figures(roots, rounds):
+    """Each of :data:`FIGURES` through a cold and a warm cache, and one
+    replint sweep. Raises if a warm pass dispatched a run."""
     results = {}
     for name, driver in FIGURES.items():
-        entry = {}
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(root=tmp)
-            entry['cache_cold_s'] = _timed(driver, cache=cache)
-            before = pipeline_counters()
-            entry['cache_warm_s'] = _timed(driver, cache=cache)
-            after = pipeline_counters()
-            dispatched = (after.get('executor.dispatched', 0)
-                          - before.get('executor.dispatched', 0))
-            if dispatched:
+        warm = []
+
+        def cold(root):
+            out = _run(root, ['-c', _FIGURE_PASS, driver],
+                       stdout=subprocess.PIPE).stdout
+            cold_s, warm_s, dispatched = out.split()
+            if int(dispatched):
                 raise AssertionError(
                     f'{name}: warm cache pass dispatched {dispatched} runs')
-        results[name] = entry
-        print(f'{name}: {entry}')
+            if root == roots['change']:
+                warm.append(float(warm_s))
+            return float(cold_s)
+        results[name] = {'cache_cold_s': _paired(roots, rounds, cold, 4),
+                         'cache_warm_s': round(statistics.median(warm), 4)}
+        print(f'{name}: {results[name]}')
     results['replint'] = measure_replint()
     print(f"replint: {results['replint']}")
     return results
@@ -203,17 +216,20 @@ def main(argv=None):
                         help='a checkout of the parent commit: time the '
                              'end-to-end runs there too')
     parser.add_argument('--rounds', type=int, default=1,
-                        help='end-to-end runs per checkout (median kept)')
+                        help='end-to-end and figure runs per checkout '
+                             '(median kept)')
     args = parser.parse_args(argv)
-    root = os.path.abspath(os.path.join(os.path.dirname(__file__), '..'))
-    parent = os.path.abspath(args.parent) if args.parent else None
-    end_to_end = measure_end_to_end(root, parent, args.rounds)
+    roots = {
+        'change': os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                               '..')),
+        'parent': os.path.abspath(args.parent) if args.parent else None}
+    end_to_end = measure_end_to_end(roots, args.rounds)
 
     payload = {
         'harness': 'benchmarks/runtime_baseline.py',
         'python': platform.python_version(),
         'cpu_count': os.cpu_count(),
-        'figures': measure(),
+        'figures': measure_figures(roots, args.rounds),
         'perfbench': measure_perfbench(),
         'end_to_end': end_to_end,
     }

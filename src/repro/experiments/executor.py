@@ -23,6 +23,7 @@ all of that invisible to callers.
 """
 
 import concurrent.futures
+import gc
 import os
 import time
 
@@ -99,6 +100,15 @@ def execute_spec(spec, observe=None):
             server_vcpus=spec.fg_vcpus, rebalance=spec.rebalance,
             faults=spec.faults, observe=observe, **kwargs,
             **_window(spec))
+        # A cluster run's object graph (simulator, hosts, replicas and
+        # their latency samples) is held together by reference cycles,
+        # so only the cyclic collector frees it. Most of it is still in
+        # the young generations when the run returns: collecting them
+        # now (under 1 ms against a 200 ms run) frees the graph before
+        # the next run allocates, where otherwise it waits for the rare
+        # full collection and a batch's resident set grows with every
+        # run done.
+        gc.collect(1)
         return RunOutcome(spec, throughput=summary['throughput'],
                           latency_summary=summary['latency'],
                           cluster=summary)

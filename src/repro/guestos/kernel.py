@@ -336,7 +336,14 @@ class GuestKernel:
                 task.remaining_ns = remaining if remaining > 0 else 0
             gcpu.busy_ns += span
             gcpu.run_started_at = first + span
-            gcpu.rq.update_min_vruntime(task)
+            # RunQueue.update_min_vruntime(task), inlined.
+            rq = gcpu.rq
+            floor = task.vruntime
+            entries = rq._entries
+            if entries and entries[0][0] < floor:
+                floor = entries[0][0]
+            if floor > rq.min_vruntime:
+                rq.min_vruntime = floor
 
     # ==================================================================
     # IRS hooks (used by repro.core)

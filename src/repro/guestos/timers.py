@@ -13,28 +13,38 @@ CFS preemption), and the NOHZ idle kick. Ticks freeze with the vCPU —
 when the hypervisor deschedules it, the guest's timers simply stop,
 which is the semantic gap IRS exists to bridge.
 
-:class:`TickTimer` times the ticks of every guest on one machine. Most
-ticks are *quiet*: the vCPU runs a task, its runqueue is empty, and a
-balance tick finds no sibling with more than one ready task to pull
-(the ticks Linux's NOHZ_FULL stops). A quiet tick writes only its own
-gCPU's tick count and ``rt_avg``, the current task's charges and the
-runqueue's ``min_vruntime``, and nothing reads those before the next
-other event. So each running gCPU's next tick is only the ``(time,
-seq)`` key its timer event would have had, and the timer's one event
-sits at the earliest key. When it fires, that tick runs live; then
-every quiet tick before the next live event (or the ``run_until``
-end), and before the first tick that is not quiet, is applied at once
-in closed form, each as of its own instant and drawing the ``seq`` its
-re-arm would have drawn. Those ticks are applied ahead of the clock,
-but nothing runs before that next event, which sees them as done. A
-tick that is not quiet fires live at its own key. Among ticks at one
-instant, a key already drawn comes first, then the gCPUs whose tick
-chains started later (their later keys are drawn earlier), then by
-``seq``. Outside ``run_until`` (and after ``Simulator.stop``), and
-while the gCPUs holding keys differ in tick period, every tick fires on
-its own. A machine's timer folds only while the machine is alone on
-its simulator; on a shared one each tick is its own event, as before
-ticks folded.
+:class:`TickTimer` is one machine's keyed timer. It times two streams
+under one event: the guest ticks of its running gCPUs and the PLE
+windows of its spinning vCPUs (``repro.hypervisor.ple``). Most of both
+need no event. A *quiet* tick finds a task running, its runqueue empty
+and, on a balance tick, no sibling with more than one ready task to
+pull (the ticks Linux's NOHZ_FULL stops); it writes only its gCPU's
+tick count and ``rt_avg``, the current task's charges and the
+runqueue's ``min_vruntime``. An *in-place* exit is a PLE exit that
+hands the pCPU straight back (``CreditScheduler.can_yield_in_place``);
+it writes only its vCPU's and gCPU's accounting and restarts that
+gCPU's ticks. Neither changes an input of the other's check, and
+nothing reads what they write before the next other event. So each
+tick and window is only the ``(time, seq)`` key its timer event would
+have had, and the timer's one event sits at the earliest key. When it
+fires, that tick or exit runs live. Then, inside ``run_until``, every
+quiet tick and in-place exit before the next other event (or the
+run's end) is applied at once, in closed form per gCPU or spinner,
+ahead of the clock but never past that event, and before the first
+tick that is not quiet or window whose exit would not stay in place;
+those fire live at their own keys.
+
+Each applied tick or exit acts as of its own instant, and each chain
+draws the ``seq`` its last re-arm would have drawn, in the order of
+those last events (a spinner draws its tick, then its window), so every
+key keeps its place among same-instant events. Every key due at ``T``
+on a chain of period ``p`` is drawn at ``T - p``, so at one instant a
+key already drawn comes first (by ``seq``), then the keys of longer
+periods (a tick before a window), then the chains that started later,
+then by ``seq``. Outside ``run_until`` (and after ``Simulator.stop``)
+every tick and window fires on its own. A machine that shares its
+simulator fires each tick as its own event, as before ticks folded;
+its windows still fold.
 """
 
 import math
@@ -197,59 +207,80 @@ class TickDriver:
                 return
 
 
-class TickTimer:
-    """The guest ticks of one machine (see the module docstring).
-    Guest kernels call :meth:`arm` when a gCPU starts running a task,
-    :meth:`restart_at` at an in-place PLE exit and :meth:`disarm` when
-    it stops.
+def _rank(time, t0, seq, period):
+    """Where the event at ``time`` of a chain of ``period``, whose held
+    key is ``(t0, seq)``, fires among the keys due at ``time``, as a
+    tuple that compares with the others: the held key by its ``seq``
+    first; a later key is drawn at ``time - period``, after every held
+    one, so a longer period comes first, then the chain that started
+    later, then ``seq`` (see the module docstring)."""
+    if time == t0:
+        return (time, 0, seq)
+    return (time, 1, time - period, -t0, seq)
 
-    While folding, :attr:`keys` holds each running gCPU's next tick key
-    and :attr:`event` fires at the ticks that run live. On a machine
-    that shares its simulator (``Machine.shares_simulator``: the hosts
-    of a cluster), :attr:`events` holds each gCPU's own tick event
+
+class TickTimer:
+    """The keyed timer of one machine (see the module docstring). Guest
+    kernels call :meth:`arm` when a gCPU starts running a task,
+    :meth:`restart_at` at an in-place PLE exit and :meth:`disarm` when
+    it stops; the PLE monitor calls :meth:`start_window` and
+    :meth:`stop_window` when a spin starts and ends.
+
+    :attr:`keys` holds each running gCPU's next tick and :attr:`windows`
+    each spinning vCPU's next PLE window, as ``[time, seq, owner, ticks,
+    period]`` (``ticks`` is the gCPU's :class:`TickDriver`, None for a
+    window), and :attr:`event` fires at those that run live. On a
+    machine that shares its simulator (``Machine.shares_simulator``: the
+    hosts of a cluster), :attr:`events` holds each gCPU's own tick event
     instead, and :attr:`keys` stays empty. Another machine's ticks are
     live events to this timer, so there a fold would almost never span
     two ticks of one gCPU, while every fired tick paid for the keys."""
 
     def __init__(self, machine):
         self.sim = machine.sim
-        # Running gCPU -> [time, seq, gCPU]: the key of its next tick
-        # not yet applied, with the gCPU so the earliest key names it.
-        # A list, re-keyed in place: a tick allocates nothing.
+        self.machine = machine
         self.keys = {}
-        # The same keys in firing order. A fresh key holds the newest
-        # seq, so it goes last unless an earlier time is held.
+        self.windows = {}
+        # Every held key in firing order. A fresh key holds the newest
+        # seq, so it goes last unless an earlier time is held. Keys are
+        # lists, re-keyed in place: a tick allocates nothing.
         self._order = []
-        # The timer's one Event, armed at the earliest key, and its gCPU.
+        # The timer's one Event, armed at the earliest key, and its
+        # gCPU or vCPU.
         self.event = None
         self._owner = None
         # True while the event's callback runs: key changes then only
         # update the keys, and the callback re-arms the event.
         self._firing = False
-        # None while folding; else gCPU -> its tick Event, kept after a
-        # stop so the next start re-keys it in place.
+        # None while ticks fold; else gCPU -> its tick Event, kept after
+        # a stop so the next start re-keys it in place.
         self.events = {} if machine.shares_simulator else None
 
     def fire_each(self):
-        """Stop folding (the machine now shares its simulator): give
-        every held key its own event, at the same key, and fire each
-        tick from here on as its own event."""
+        """Stop folding ticks (the machine now shares its simulator):
+        give every held tick key its own event, at the same key, and
+        fire each tick from here on as its own event. Windows still
+        fold."""
         events = self.events = {}
-        order = self._order
-        if order:
-            # The timer's event, pending at the earliest key, becomes
-            # that gCPU's own: a second entry at its key would tie.
-            owner = self._owner
-            event = events[owner] = self.event
-            event.callback = owner.kernel.ticks.tick
-            event.args = (owner,)
-            for time, seq, gcpu in order[1:]:
-                events[gcpu] = self.sim.rearm_at(
-                    None, time, seq, gcpu.kernel.ticks.tick, gcpu)
-        self.event = None
+        windows = []
+        for key in self._order:
+            time, seq, gcpu, ticks, __ = key
+            if ticks is None:
+                windows.append(key)
+            elif gcpu is self._owner:
+                # The timer's event, pending at this key, becomes the
+                # gCPU's own: a second entry at its key would tie.
+                event = events[gcpu] = self.event
+                event.callback = ticks.tick
+                event.args = (gcpu,)
+                self.event = None
+            else:
+                events[gcpu] = self.sim.rearm_at(None, time, seq, ticks.tick,
+                                                  gcpu)
         self.keys.clear()
-        order.clear()
-        self._owner = None
+        self._order = windows
+        if self.event is None:
+            self._arm_first()
 
     def arm(self, gcpu):
         """``gcpu`` runs a task: its ticks start one period from now,
@@ -263,14 +294,16 @@ class TickTimer:
                                               ticks.tick, gcpu)
         elif gcpu not in self.keys:
             sim = self.sim
-            key = self.keys[gcpu] = [sim.now + gcpu.kernel.ticks.tick_ns,
-                                     sim.reserve_seq(), gcpu]
+            ticks = gcpu.kernel.ticks
+            period = ticks.tick_ns
+            key = self.keys[gcpu] = [sim.now + period, sim.reserve_seq(),
+                                     gcpu, ticks, period]
             self._insert(key)
 
     def restart_at(self, gcpu, start):
-        """Restart ``gcpu``'s ticks one period after ``start`` (at or
-        before now), with the next ``seq``: what a stop and an
-        :meth:`arm` at ``start`` would leave."""
+        """Restart ``gcpu``'s ticks one period after ``start``, with the
+        next ``seq``: what a stop and an :meth:`arm` at ``start`` would
+        leave."""
         events = self.events
         if events is not None:
             event = events.get(gcpu)
@@ -283,10 +316,11 @@ class TickTimer:
             return
         key = self.keys.get(gcpu)
         if key is None:
-            key = self.keys[gcpu] = [0, 0, gcpu]
+            ticks = gcpu.kernel.ticks
+            key = self.keys[gcpu] = [0, 0, gcpu, ticks, ticks.tick_ns]
         else:
             self._order.remove(key)
-        key[0] = start + gcpu.kernel.ticks.tick_ns
+        key[0] = start + key[4]
         key[1] = self.sim.reserve_seq()
         self._insert(key)
 
@@ -304,6 +338,24 @@ class TickTimer:
             if gcpu is self._owner and not self._firing:
                 self._arm_first()
 
+    def start_window(self, vcpu, window_ns):
+        """``vcpu`` entered a pause loop: its PLE window is due
+        ``window_ns`` from now, unless one is already held."""
+        windows = self.windows
+        if vcpu not in windows:
+            sim = self.sim
+            key = windows[vcpu] = [sim.now + window_ns, sim.reserve_seq(),
+                                   vcpu, None, window_ns]
+            self._insert(key)
+
+    def stop_window(self, vcpu):
+        """``vcpu``'s pause loop ended: its window goes."""
+        key = self.windows.pop(vcpu, None)
+        if key is not None:
+            self._order.remove(key)
+            if vcpu is self._owner and not self._firing:
+                self._arm_first()
+
     def _insert(self, key):
         """Put a fresh ``key`` in order and keep the event at the
         earliest key."""
@@ -316,13 +368,13 @@ class TickTimer:
             self._arm_first()
 
     def _arm_first(self):
-        """Arm the event at the earliest key, or disarm it when no gCPU
-        runs."""
+        """Arm the event at the earliest key, or disarm it when no key
+        is held."""
         event = self.event
         if event is not None:
             event.cancel()
         if self._order:
-            time, seq, self._owner = self._order[0]
+            time, seq, self._owner, __, __ = self._order[0]
             self.event = self.sim.rearm_at(event, time, seq, self._fire)
         else:
             self._owner = None
@@ -334,90 +386,147 @@ class TickTimer:
         key = order[0]
         owner = key[2]
         del order[0]
-        ticks = owner.kernel.ticks
-        period = ticks.tick_ns
-        if owner.vcpu.is_running and not owner.in_sa_handler:
+        ticks = key[3]
+        self._firing = True
+        if ticks is None:
+            self._exit(key, owner)
+        elif owner.vcpu.is_running and not owner.in_sa_handler:
             now = sim.now
-            time = key[0] = now + period
+            time = key[0] = now + key[4]
             key[1] = sim.reserve_seq()
             if not order or time >= order[-1][0]:
                 order.append(key)
             else:
                 insort(order, key)
-            self._firing = True
             ticks.tick(owner, now)
-            self._firing = False
         else:
             # The tick chain ends here; the next dispatch restarts it.
             del self.keys[owner]
-        if not order:
+        if order:
+            first = order[0]
+            end = sim.run_end
+            # A gCPU with ready tasks ticks live (the first test of
+            # TickDriver.first_live_tick): then nothing folds.
+            if end is not None and (self.windows
+                                    or not first[2].rq._entries):
+                bound = sim.peek_key()
+                if bound is None or bound[0] > end:
+                    bound = (end, math.inf)
+                # Without windows every key lies within one period after
+                # the first, so the first gCPU has fewer than two ticks
+                # before a nearer bound: settling them would cost more
+                # than firing them.
+                if bound[0] - first[0] >= first[4] or self.windows:
+                    self._settle(bound)
+                    first = order[0]
+            sim.again_at(first[0], first[1])
+            self._owner = first[2]
+        else:
             self._owner = None
-            return
-        first = order[0]
-        end = sim.run_end
-        # A gCPU with ready tasks ticks live (the first test of
-        # TickDriver.first_live_tick): then nothing folds.
-        if end is not None and not first[2].rq._entries:
-            bound = sim.peek_key()
-            if bound is None or bound[0] > end:
-                bound = (end, math.inf)
-            # Every key lies within one period after the first, so the
-            # first gCPU has fewer than two ticks before a nearer bound:
-            # settling them would cost more than firing them.
-            if bound[0] - first[0] >= period:
-                self._settle_before(bound)
-                first = order[0]
-        sim.again_at(first[0], first[1])
-        self._owner = first[2]
+        self._firing = False
 
-    def _settle_before(self, bound):
-        """Apply, in closed form per gCPU, every tick that comes before
-        ``bound`` (the next live key, or ``(end, inf)``) and before the
-        first tick that is not quiet. The gCPUs draw their next keys in
-        the order of their last ticks, as their tick chains would have.
-        Ticks rank as the module docstring says; ``limit`` is the
-        earliest tick or event they must come before, as ``(time,
-        rank)``."""
+    def _exit(self, key, vcpu):
+        """The PLE window at ``key`` expired on ``vcpu``: its VM-exit,
+        live."""
+        if not vcpu.is_running:
+            del self.windows[vcpu]
+            return
+        # The credit scheduler performs a directed yield. No scheduler
+        # activation is sent: PLE and IRS are alternative strategies,
+        # and the exit is a hardware event, not a scheduler preemption
+        # decision.
+        sim = self.sim
+        sim.trace.count('ple.exits')
+        scheduler = self.machine.scheduler
+        if scheduler.can_yield_in_place(vcpu):
+            now = sim.now
+            scheduler.yield_in_place(vcpu, now)
+            key[0] = now + key[4]
+            key[1] = sim.reserve_seq()
+            self._insert(key)
+        else:
+            # The switch ends the spin, and with it the window.
+            del self.windows[vcpu]
+            scheduler.force_yield(vcpu)
+
+    def _settle(self, bound):
+        """Apply, in closed form per chain, every quiet tick and in-place
+        exit that comes before ``bound`` (the next live key, or ``(end,
+        inf)``), before the first tick that is not quiet and before the
+        first window whose exit would not stay in place. The chains draw
+        their next keys in the order of their last events, as their
+        events would have. ``limit`` is the earliest tick, window or
+        event they must come before, ranked by :func:`_rank`."""
         order = self._order
         bound_time, bound_seq = bound
         # Read before any key is re-keyed below.
         due = order[:bisect_left(order, [bound_time, bound_seq])]
-        period = due[0][2].kernel.ticks.tick_ns
-        # A tick at the bound's instant whose key is not yet drawn draws
-        # its seq after the bound's: it comes first only before a run's
-        # end.
+        windows = self.windows
+        # A key at the bound's instant that is not yet drawn draws its
+        # seq after the bound's: it comes first only before a run's end.
         limit = ((bound_time, math.inf) if bound_seq == math.inf
-                 else (bound_time, -bound_time, bound_seq))
-        for t0, seq, gcpu in due:
+                 else (bound_time, 0, bound_seq))
+        for t0, seq, owner, ticks, period in due:
             if t0 > limit[0]:
                 break
-            ticks = gcpu.kernel.ticks
-            if ticks.tick_ns != period:
-                # Same-instant ranks assume one period.
-                return
-            live = ticks.first_live_tick(gcpu, t0)
-            if live is not None and (live, -t0, seq) < limit:
-                limit = (live, -t0, seq)
+            if ticks is not None:
+                live = ticks.first_live_tick(owner, t0)
+                if live is not None:
+                    rank = _rank(live, t0, seq, period)
+                    if rank < limit:
+                        limit = rank
+            # An exit that would not stay in place runs live, and so
+            # does one whose tick restart would come before its next
+            # window.
+            elif not (owner.is_running
+                      and period < owner.gcpu.kernel.ticks.tick_ns
+                      and self.machine.scheduler.can_yield_in_place(owner)):
+                rank = (t0, 0, seq)
+                if rank < limit:
+                    limit = rank
         limit_time = limit[0]
         limit_rank = limit[1:]
         runs = []
-        for t0, seq, gcpu in due:
+        for t0, seq, owner, ticks, period in due:
             if t0 > limit_time:
                 break
             count, off_grid = divmod(limit_time - t0, period)
-            if off_grid or (-t0, seq) < limit_rank:
+            # On the grid, the event at ``limit_time`` ranks as _rank
+            # says.
+            if off_grid or ((1, limit_time - period, -t0, seq) if count
+                            else (0, seq)) < limit_rank:
                 count += 1
+            if windows and ticks is not None:
+                window = windows.get(owner.vcpu)
+                if window is not None:
+                    # A spinner's exits restart its ticks: only those
+                    # before its first exit are its own.
+                    own = max(0, (window[0] - t0 - 1) // period + 1) + (
+                        t0 == window[0] and seq < window[1])
+                    if own < count:
+                        count = own
             if count:
-                runs.append((t0 + (count - 1) * period, -t0, seq, gcpu,
-                             count))
+                # Every key is drawn one period before it is due, in
+                # order, so a run's last event ranks by its period
+                # (longest first), then as _rank says.
+                runs.append((t0 + (count - 1) * period, -period, -t0, seq,
+                             owner, ticks, count))
         if not runs:
             return
         runs.sort()
-        keys = self.keys
         reserve_seq = self.sim.reserve_seq
-        for last, neg_t0, __, gcpu, count in runs:
-            gcpu.kernel.ticks.settle_ticks(gcpu, -neg_t0, count)
-            key = keys[gcpu]
-            key[0] = last + period
+        keys = self.keys
+        for last, neg_period, neg_t0, __, owner, ticks, count in runs:
+            if ticks is None:
+                # Its tick restart draws the gCPU's key before the
+                # window's.
+                self.machine.scheduler.yield_in_place(owner, last, count,
+                                                      -neg_period)
+                self.sim.trace.count('ple.exits', count)
+                key = windows[owner]
+            else:
+                ticks.settle_ticks(owner, -neg_t0, count)
+                key = keys[owner]
+            key[0] = last - neg_period
             key[1] = reserve_seq()
         order.sort()

@@ -51,6 +51,15 @@ class Event:
         self.callback = callback
         self.args = args
 
+    def __lt__(self, other):
+        """Never less. Two heap entries share a ``(time, seq)`` key only
+        when one is a cancelled handle's stale entry: a keyed timer that
+        moved its event earlier may arm it again at the key it left
+        while the old entry is still queued. The tie then compares
+        Events, and the stale entry is dropped whichever surfaces
+        first."""
+        return False
+
     def cancel(self):
         """Prevent the event from firing. Safe to call more than once,
         and safe to call on an event that already fired (a no-op)."""

@@ -13,14 +13,11 @@ two-level scheduler:
 * the clock is monotone;
 * a pending compute quantum, or a guest tick with its own event, is due
   no earlier than now and on a running vCPU ("timer_handles");
-* a folding guest tick timer folds soundly ("tick_fold"): each gCPU
-  with a tick key runs on a running vCPU, no key is before now, the
-  timer's event is pending at the earliest key, and no quiet tick was
-  applied past the next live event;
-* the PLE monitor's windows are folded soundly ("ple_fold"): each vCPU
-  with a window key runs a spinning task, no key is before now, and the
-  monitor's event is pending, not before now, and no later than every
-  key, or else (a fold is open) before every other live event;
+* a machine's keyed timer folds soundly ("timer_fold"): each gCPU with
+  a tick key runs on a running vCPU and each vCPU with a PLE window
+  runs a spinning task, no key is before now, the timer's one event is
+  pending at the earliest key of both, and no tick or exit was applied
+  past the next live event;
 * credits are conserved within the scheduler's clip band
   ``[-credit_cap, credit_cap]``.
 
@@ -250,90 +247,69 @@ class Sanitizer:
                     self._check_sa_protocol(vcpu, proto, event)
             if vm.guest is not None:
                 self._check_guest(vm.guest, event)
-        # Duck-typed: a PLE slot without window keys has none to check.
-        if getattr(machine.ple, 'windows', None):
-            self._check_ple_fold(machine.ple, event)
-        # Duck-typed too: a timer without keys holds no folded ticks.
-        ticks = getattr(machine, 'guest_ticks', None)
-        if getattr(ticks, 'keys', None):
-            self._check_tick_fold(ticks, event)
+        # Duck-typed: a test's per-event reference timer holds no keys.
+        timer = machine.guest_ticks
+        if getattr(timer, 'keys', None) or getattr(timer, 'windows', None):
+            self._check_timer_fold(timer, event)
 
-    def _check_tick_fold(self, ticks, event):
-        """A tick key stands for a guest tick that has no event of its
-        own (``repro.guestos.timers``). Its gCPU's vCPU must run, every
-        tick before now must have been applied, and the timer's event
-        must be pending at the earliest key. A fold applies quiet ticks
-        ahead of the clock, but never past the next live event, which
-        may read what they write: no keyed gCPU's open interval starts
-        after it."""
+    def _check_timer_fold(self, timer, event):
+        """A tick or window key stands for a guest tick or PLE window
+        that has no event of its own (``repro.guestos.timers``). A
+        tick key's gCPU must run on a running vCPU, a window key's vCPU
+        must run a spinning task, and every tick and exit before now
+        must have been applied. The timer's one event must be pending
+        at the earliest key of both streams. A fold applies ticks and
+        exits ahead of the clock, but never past the next live event,
+        which may read what they write: no keyed gCPU's or spinner's
+        open interval starts after it."""
         now = self.sim.now
-        keys = ticks.keys
-        for gcpu, (time, __, __) in keys.items():
-            if not gcpu.vcpu.is_running:
-                self._fail('tick_fold',
-                           '%s has a tick key but its vCPU is %s'
-                           % (gcpu.name, gcpu.vcpu.runstate), event)
+        keyed = list(timer.keys.items()) + list(timer.windows.items())
+        for owner, (time, __, __, ticks, __) in keyed:
+            if ticks is not None:
+                what = 'tick'
+                if not owner.vcpu.is_running:
+                    self._fail('timer_fold',
+                               '%s has a tick key but its vCPU is %s'
+                               % (owner.name, owner.vcpu.runstate), event)
+            else:
+                what = 'PLE window'
+                gcpu = owner.gcpu
+                task = gcpu.current if gcpu is not None else None
+                if not owner.is_running or task is None or not task.spinning:
+                    self._fail('timer_fold',
+                               '%s has a PLE window but is %s with current '
+                               'task %r' % (owner.name, owner.runstate, task),
+                               event)
             if time < now:
-                self._fail('tick_fold',
-                           '%s tick at t=%d, before now (a tick was not '
-                           'applied)' % (gcpu.name, time), event)
-        timer = ticks.event
-        first = min((time, seq) for time, seq, __ in keys.values())
-        if timer is None or not timer.pending:
-            self._fail('tick_fold', 'tick timer event not pending while '
-                       '%d gCPUs tick' % len(keys), event)
-        elif (timer.time, timer.seq) != first:
-            self._fail('tick_fold', 'tick timer event at %r, not at the '
-                       'earliest tick %r' % ((timer.time, timer.seq), first),
-                       event)
+                self._fail('timer_fold',
+                           '%s %s at t=%d, before now (a %s was not '
+                           'applied)' % (owner.name, what, time, what),
+                           event)
+        first = min((key[0], key[1]) for __, key in keyed)
+        timer_event = timer.event
+        if timer_event is None or not timer_event.pending:
+            self._fail('timer_fold', 'timer event not pending while %d '
+                       'keys are held' % len(keyed), event)
+        elif (timer_event.time, timer_event.seq) != first:
+            self._fail('timer_fold', 'timer event at %r, not at the '
+                       'earliest key %r'
+                       % ((timer_event.time, timer_event.seq), first), event)
         live = min((entry[0] for entry in self.sim._queue._heap
                     if entry[1] == entry[2].seq), default=None)
-        for gcpu in keys if live is not None else ():
-            started = gcpu.run_started_at
-            if started is not None and started > live:
-                self._fail('tick_fold',
-                           '%s ticks applied up to t=%d, past the next live '
-                           'event at t=%d' % (gcpu.name, started, live),
-                           event)
-
-    def _check_ple_fold(self, ple, event):
-        """A window key stands for a PLE window that has no event of its
-        own (``repro.hypervisor.ple``). Its vCPU must run a spinning
-        task, and every window before now must have been applied. The
-        monitor's event must fire before any key it has not folded:
-        no later than every key, or, while it folds windows up to a
-        later one, before every other live event, so no event reads an
-        exit not yet applied."""
-        now = self.sim.now
-        windows = ple.windows
-        for vcpu, (time, __) in windows.items():
-            gcpu = vcpu.gcpu
-            task = gcpu.current if gcpu is not None else None
-            if not vcpu.is_running or task is None or not task.spinning:
-                self._fail('ple_fold',
-                           '%s has a PLE window but is %s with current '
-                           'task %r' % (vcpu.name, vcpu.runstate, task),
-                           event)
-            if time < now:
-                self._fail('ple_fold',
-                           '%s PLE window at t=%d, before now (an exit '
-                           'was not applied)' % (vcpu.name, time), event)
-        monitor = ple.event
-        if monitor is None or not monitor.pending:
-            self._fail('ple_fold', 'PLE monitor event not pending while '
-                       '%d vCPUs spin' % len(windows), event)
+        if live is None:
             return
-        key = (monitor.time, monitor.seq)
-        if monitor.time < now:
-            self._fail('ple_fold', 'PLE monitor event at t=%d, before now'
-                       % monitor.time, event)
-        if key > min(windows.values()):
-            live = [(entry[0], entry[1]) for entry in self.sim._queue._heap
-                    if entry[1] == entry[2].seq and entry[2] is not monitor]
-            if live and key > min(live):
-                self._fail('ple_fold',
-                           'PLE monitor event at %r folds windows past '
-                           'the live event at %r' % (key, min(live)), event)
+        for owner, (__, __, __, ticks, __) in keyed:
+            # A spinner's exits restart its vCPU's runstate and its
+            # gCPU's interval; a tick restarts its gCPU's.
+            starts = ((owner.run_started_at,) if ticks is not None else
+                      (owner.runstate_since, owner.gcpu.run_started_at))
+            started = max((start for start in starts if start is not None),
+                          default=None)
+            if started is not None and started > live:
+                self._fail('timer_fold',
+                           '%s ticks or exits applied up to t=%d, past the '
+                           'next live event at t=%d'
+                           % (owner.name, started, live), event)
 
     def _check_hypervisor(self, machine, event):
         seen = set()

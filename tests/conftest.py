@@ -13,7 +13,7 @@ import pytest
 from repro.guestos import GuestKernel
 from repro.hypervisor import Machine, VM
 from repro.simkernel import Simulator, install_sanitizer
-from repro.simkernel.units import MS, SEC
+from repro.simkernel.units import MS, SEC, US
 
 SANITIZE = os.environ.get('REPRO_SANITIZER', '') not in ('', '0')
 
@@ -62,5 +62,85 @@ def run_for(sim, duration_ns):
     sim.run_until(sim.now + duration_ns)
 
 
+# Reference timers: one event per guest tick and per PLE window, as
+# both worked before the machine's keyed timer folded them. A machine
+# with both installed fires every tick and window as its own event.
+
+class PerTickTimer:
+    """Reference tick timer: one event per running gCPU, re-armed every
+    tick through public calls, as guest ticks worked before the timer
+    folded them."""
+
+    def __init__(self, machine):
+        self.sim = machine.sim
+        self.handles = {}
+
+    def arm(self, gcpu):
+        handle = self.handles.get(gcpu)
+        if handle is None or not handle.pending:
+            self.handles[gcpu] = self.sim.rearm(
+                handle, gcpu.kernel.ticks.tick_ns, self.fire, gcpu)
+
+    def restart_at(self, gcpu, start):
+        handle = self.handles.get(gcpu)
+        if handle is not None:
+            handle.cancel()
+        self.handles[gcpu] = self.sim.rearm(
+            handle, start + gcpu.kernel.ticks.tick_ns - self.sim.now,
+            self.fire, gcpu)
+
+    def disarm(self, gcpu):
+        handle = self.handles.get(gcpu)
+        if handle is not None:
+            handle.cancel()
+
+    def fire_each(self):
+        """Every tick already fires as its own event."""
+
+    def fire(self, gcpu):
+        if not gcpu.vcpu.is_running or gcpu.in_sa_handler:
+            return
+        ticks = gcpu.kernel.ticks
+        self.sim.again(ticks.tick_ns)
+        ticks.tick(gcpu, self.sim.now)
+
+
+class PerWindowPle:
+    """Reference PLE monitor: one timer event per spinning vCPU,
+    re-armed every window through public calls, as the monitor worked
+    before it folded windows. ``in_place=False`` makes every exit the
+    full switch (``force_yield``), whose re-picked spinner re-arms its
+    window through ``on_spin_start``."""
+
+    def __init__(self, machine, in_place=True, window_ns=50 * US):
+        self.sim = machine.sim
+        self.machine = machine
+        self.in_place = in_place
+        self.window_ns = window_ns
+        self.handles = {}
+
+    def on_spin_start(self, vcpu):
+        handle = self.handles.get(vcpu)
+        if handle is None or not handle.pending:
+            self.handles[vcpu] = self.sim.rearm(
+                handle, self.window_ns, self.expired, vcpu)
+
+    def on_spin_stop(self, vcpu):
+        handle = self.handles.get(vcpu)
+        if handle is not None:
+            handle.cancel()
+
+    def expired(self, vcpu):
+        if not vcpu.is_running:
+            return
+        self.sim.trace.count('ple.exits')
+        scheduler = self.machine.scheduler
+        if self.in_place and scheduler.can_yield_in_place(vcpu):
+            scheduler.yield_in_place(vcpu, self.sim.now)
+            self.sim.again(self.window_ns)
+        else:
+            scheduler.force_yield(vcpu)
+
+
 __all__ = ['build_machine', 'build_vm', 'single_vm_machine', 'run_for',
-           'MS', 'SEC']
+           'PerTickTimer', 'PerWindowPle', 'MS', 'SEC']

@@ -12,7 +12,7 @@ from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
 from repro.workloads import Acquire, Compute, Release, Sleep, SpinLock
 
-from conftest import build_vm
+from conftest import PerWindowPle, build_vm
 
 
 def hog():
@@ -251,44 +251,10 @@ class TestSwitch:
             expiry + kernel.policy.config.tick_ns)
         assert ticks.event.pending
         assert machine.ple.windows[spinner][0] == expiry + 50 * US
-        assert machine.ple.event.pending
-
-
-class PerWindowPle:
-    """Reference PLE monitor: one timer event per spinning vCPU,
-    re-armed every window through public calls, as the monitor worked
-    before it folded windows. ``in_place=False`` makes every exit the
-    full switch (``force_yield``), whose re-picked spinner re-arms its
-    window through ``on_spin_start``."""
-
-    def __init__(self, machine, in_place=True, window_ns=50 * US):
-        self.sim = machine.sim
-        self.machine = machine
-        self.in_place = in_place
-        self.window_ns = window_ns
-        self.handles = {}
-
-    def on_spin_start(self, vcpu):
-        handle = self.handles.get(vcpu)
-        if handle is None or not handle.pending:
-            self.handles[vcpu] = self.sim.rearm(
-                handle, self.window_ns, self.expired, vcpu)
-
-    def on_spin_stop(self, vcpu):
-        handle = self.handles.get(vcpu)
-        if handle is not None:
-            handle.cancel()
-
-    def expired(self, vcpu):
-        if not vcpu.is_running:
-            return
-        self.sim.trace.count('ple.exits')
-        scheduler = self.machine.scheduler
-        if self.in_place and scheduler.can_yield_in_place(vcpu):
-            scheduler.yield_in_place(vcpu, self.sim.now)
-            self.sim.again(self.window_ns)
-        else:
-            scheduler.force_yield(vcpu)
+        # The machine's one timer event sits at the earliest tick or
+        # window.
+        held = list(ticks.keys.values()) + list(machine.ple.windows.values())
+        assert [ticks.event.time, ticks.event.seq] == min(held)[:2]
 
 
 def _window_keys(ple):
@@ -296,7 +262,7 @@ def _window_keys(ple):
     if isinstance(ple, PerWindowPle):
         return {vcpu: (h.time, h.seq) for vcpu, h in ple.handles.items()
                 if h.pending}
-    return ple.windows
+    return {vcpu: (t, s) for vcpu, (t, s, *__) in ple.windows.items()}
 
 
 def _name(arg):
@@ -309,7 +275,7 @@ def _tick_keys(ticks):
     if hasattr(ticks, 'handles'):
         return {gcpu: (h.time, h.seq) for gcpu, h in ticks.handles.items()
                 if h.pending}
-    return {gcpu: (t, s) for gcpu, (t, s, __) in ticks.keys.items()}
+    return {gcpu: (t, s) for gcpu, (t, s, *__) in ticks.keys.items()}
 
 
 def _pending_order(sim, machine):

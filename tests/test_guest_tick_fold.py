@@ -1,58 +1,19 @@
-"""The machine's guest tick timer folds quiet ticks without changing
-any result: a machine whose timer settles runs of quiet ticks in closed
-form ends every ``run_until`` exactly as one that fires every tick as
-its own event."""
+"""The machine's keyed timer folds quiet guest ticks and in-place PLE
+exits without changing any result: a machine whose timer settles them
+in closed form ends every ``run_until`` exactly as one that fires every
+tick and every window as its own event."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import install_irs
 from repro.experiments import apply_strategy
 from repro.guestos.loadavg import RtAvgTracker
-from repro.hypervisor import Machine
+from repro.hypervisor import Machine, PleMonitor
 from repro.simkernel import Simulator
 from repro.simkernel.units import MS, SEC, US
 from repro.workloads import Acquire, Compute, Release, Sleep, SpinLock
 
-from conftest import build_vm
-
-
-class PerTickTimer:
-    """Reference tick timer: one event per running gCPU, re-armed every
-    tick through public calls, as guest ticks worked before the timer
-    folded them."""
-
-    def __init__(self, machine):
-        self.sim = machine.sim
-        self.handles = {}
-
-    def arm(self, gcpu):
-        handle = self.handles.get(gcpu)
-        if handle is None or not handle.pending:
-            self.handles[gcpu] = self.sim.rearm(
-                handle, gcpu.kernel.ticks.tick_ns, self.fire, gcpu)
-
-    def restart_at(self, gcpu, start):
-        handle = self.handles.get(gcpu)
-        if handle is not None:
-            handle.cancel()
-        self.handles[gcpu] = self.sim.rearm(
-            handle, start + gcpu.kernel.ticks.tick_ns - self.sim.now,
-            self.fire, gcpu)
-
-    def disarm(self, gcpu):
-        handle = self.handles.get(gcpu)
-        if handle is not None:
-            handle.cancel()
-
-    def fire_each(self):
-        """Every tick already fires as its own event."""
-
-    def fire(self, gcpu):
-        if not gcpu.vcpu.is_running or gcpu.in_sa_handler:
-            return
-        ticks = gcpu.kernel.ticks
-        self.sim.again(ticks.tick_ns)
-        ticks.tick(gcpu, self.sim.now)
+from conftest import PerTickTimer, PerWindowPle, build_vm
 
 
 def _tick_handles(ticks):
@@ -63,34 +24,47 @@ def _tick_handles(ticks):
     return ticks.events or {}
 
 
-def _tick_keys(ticks):
-    keys = {gcpu: (h.time, h.seq) for gcpu, h in _tick_handles(ticks).items()
+def _held_keys(handles, keys):
+    """Owner -> ``(time, seq)`` of its pending handle or held key."""
+    held = {owner: (h.time, h.seq) for owner, h in handles.items()
             if h.pending}
-    if not isinstance(ticks, PerTickTimer):
-        keys.update((gcpu, (t, s)) for gcpu, (t, s, __) in ticks.keys.items())
-    return keys
+    held.update((owner, (t, s)) for owner, (t, s, *__) in keys.items())
+    return held
+
+
+def _window_keys(ple):
+    if isinstance(ple, PerWindowPle):
+        return _held_keys(ple.handles, {})
+    return _held_keys({}, ple.windows)
+
+
+def _tick_keys(ticks):
+    return _held_keys(_tick_handles(ticks),
+                      {} if isinstance(ticks, PerTickTimer) else ticks.keys)
 
 
 def _next_events(sim, machines):
     """Every pending event, PLE window and guest tick in firing order,
-    as ``(time, what)``; tick events and the folding timers' own events
-    stand for their keys and are left out."""
+    as ``(time, what)``; tick and window events and the keyed timers'
+    own events stand for their keys and are left out."""
     keyed = []
     folding = set()
-    ticked = set()
+    handled = set()
     for machine in machines:
         ple = machine.ple
         ticks = machine.guest_ticks
-        folding.update(timer for timer in (ple, ticks) if timer is not None)
-        ticked.update(map(id, _tick_handles(ticks).values()))
+        folding.add(ticks)
+        handled.update(map(id, _tick_handles(ticks).values()))
         keyed += [(t, s, ('guest tick', gcpu.name))
                   for gcpu, (t, s) in _tick_keys(ticks).items()]
         if ple is not None:
+            if isinstance(ple, PerWindowPle):
+                handled.update(map(id, ple.handles.values()))
             keyed += [(t, s, ('ple window', vcpu.name))
-                      for vcpu, (t, s) in ple.windows.items()]
+                      for vcpu, (t, s) in _window_keys(ple).items()]
     for event in sim._queue.peek_events(len(sim._queue._heap)):
         owner = getattr(event.callback, '__self__', None)
-        if owner in folding or id(event) in ticked:
+        if owner in folding or id(event) in handled:
             continue
         keyed.append((event.time, event.seq, (
             event.callback.__qualname__,
@@ -125,13 +99,16 @@ def _machine(params, reference):
     a hog with ``queued`` more tasks ready behind it, so the others'
     balance ticks find a sibling with 0, 1 or 2 ready tasks. With
     ``irs`` the hog's wakes preempt a par vCPU through an SA upcall.
-    ``reference`` installs :class:`PerTickTimer`."""
+    ``reference`` installs :class:`PerTickTimer` (and, with PLE,
+    :class:`PerWindowPle`)."""
     sim = Simulator(seed=11)
     machine = Machine(sim, n_pcpus=4)
     if reference:
         machine.guest_ticks = PerTickTimer(machine)
     if params['ple']:
         apply_strategy(machine, 'ple')
+        if reference:
+            machine.ple = PerWindowPle(machine)
     __, kernel = build_vm(sim, machine, 'par', n_vcpus=4,
                           pinning=[0, 1, 2, 3])
     __, hog_kernel = build_vm(sim, machine, 'hog',
@@ -245,12 +222,21 @@ class TestSharedSimulator:
     def test_a_second_machine_makes_each_tick_its_own_event(
             self, params, join, stops):
         """When a second machine is made on the simulator, the first
-        one's folding timer gives every held key its own event at the
-        same key and stops folding, and from then on both machines end
-        every ``run_until`` exactly as with a tick per event
-        throughout."""
+        one's folding timer gives every held tick key its own event at
+        the same key and stops folding ticks, and from then on both
+        machines end every ``run_until`` exactly as with a tick per
+        event throughout. Every event but a PLE window's (windows still
+        fold) fires one for one."""
         sim, machine, kernels = _machine(params, reference=False)
         ref_sim, ref_machine, ref_kernels = _machine(params, reference=True)
+        # Per fired event: True unless it is a PLE window's own.
+        fired = []
+        ref_fired = []
+        sim.add_post_event_hook(lambda event: fired.append(
+            event.callback != machine.guest_ticks._fire))
+        ref_sim.add_post_event_hook(lambda event: ref_fired.append(
+            not isinstance(getattr(event.callback, '__self__', None),
+                           PerWindowPle)))
         sim.run_until(join)
         ref_sim.run_until(join)
         other, other_kernel = _second_machine(sim, reference=False)
@@ -266,14 +252,126 @@ class TestSharedSimulator:
         assert _snapshot(sim, machines, kernels) == _snapshot(
             ref_sim, ref_machines, ref_kernels)
         for stop in sorted({s for s in stops if s > join}) + [45 * MS]:
-            fired = sim.events_processed
-            ref_fired = ref_sim.events_processed
+            before, ref_before = len(fired), len(ref_fired)
             sim.run_until(stop)
             ref_sim.run_until(stop)
-            assert sim.events_processed - fired == (
-                ref_sim.events_processed - ref_fired)
+            assert sum(fired[before:]) == sum(ref_fired[ref_before:])
             assert _snapshot(sim, machines, kernels) == _snapshot(
                 ref_sim, ref_machines, ref_kernels)
+
+
+def _spinners(params, reference):
+    """A 4-vCPU VM on 4 pCPUs: ``par.cpu3`` holds a spin lock for
+    ``hold`` at a time, and ``par.cpu0``-``cpu2`` take it in turn, each
+    starting at its drawn offset, so up to three spin at once under PLE
+    windows of ``window``. Every start lies on the 50 us grid, so the
+    holder's ticks share instants with the windows. A hog VM on a
+    spinner's pCPU wakes onto it, and its boost makes that spinner's
+    next window a directed yield. ``reference`` installs
+    :class:`PerTickTimer` and :class:`PerWindowPle`."""
+    sim = Simulator(seed=7)
+    machine = Machine(sim, n_pcpus=4)
+    if reference:
+        machine.guest_ticks = PerTickTimer(machine)
+        machine.ple = PerWindowPle(machine, window_ns=params['window'])
+    else:
+        machine.ple = PleMonitor(sim, machine, window_ns=params['window'])
+    __, kernel = build_vm(sim, machine, 'par', n_vcpus=4,
+                          pinning=[0, 1, 2, 3])
+    __, hog_kernel = build_vm(sim, machine, 'hog',
+                              pinning=[params['hog_pcpu']])
+    lock = SpinLock('l')
+
+    def holder():
+        while True:
+            yield Acquire(lock)
+            yield Compute(params['hold'])
+            yield Release(lock)
+            yield Compute(params['gap'])
+
+    def waiter(offset):
+        yield Compute(offset)
+        while True:
+            yield Acquire(lock)
+            yield Compute(params['critical'])
+            yield Release(lock)
+            yield Compute(params['think'])
+
+    def bursty():
+        while True:
+            yield Sleep(params['hog_sleep'])
+            yield Compute(params['hog_burst'])
+    kernel.spawn('holder', holder(), gcpu_index=3)
+    for i, offset in enumerate(params['offsets']):
+        kernel.spawn('w%d' % i, waiter(offset), gcpu_index=i)
+    hog_kernel.spawn('hog', bursty(), gcpu_index=0)
+    machine.start()
+    return sim, machine, [kernel, hog_kernel]
+
+
+_GRID = st.integers(1, 40).map(lambda n: n * 50 * US)
+
+
+class TestMergedFold:
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.fixed_dictionaries({
+               'window': st.sampled_from([50 * US, 50 * US, 50 * US,
+                                          1 * MS]),
+               'hold': st.integers(1, 6).map(lambda n: n * MS),
+               'gap': _GRID,
+               'critical': _GRID,
+               'think': _GRID,
+               'offsets': st.one_of(
+                   _GRID.map(lambda t: (t, t)),
+                   st.lists(_GRID, min_size=2, max_size=3).map(tuple)),
+               'hog_pcpu': st.integers(0, 2),
+               'hog_sleep': st.integers(1, 60).map(lambda n: n * 100 * US),
+               'hog_burst': st.integers(1, 30).map(lambda n: n * 100 * US)}),
+           stops=st.lists(st.one_of(
+               st.integers(1, 500).map(lambda n: n * 50 * US),
+               st.integers(1, 500).map(lambda n: n * 50 * US + 1),
+               st.integers(1, 25).map(lambda n: n * MS),
+               st.integers(1, 25).map(lambda n: n * MS - 1)),
+               min_size=1, max_size=5))
+    def test_matches_a_tick_and_a_window_per_event(self, params, stops):
+        """One timer folding ticks and windows in one pass leaves the
+        machine, at every ``run_until`` end on or one ns off either
+        grid, as per-event ticks and windows do: tick counts,
+        ``rt_avg`` bits, charges, counters, runstates and the order of
+        every next event, tick and window, with two or three spinners,
+        a holder ticking at window instants, failing windows and, with
+        1 ms windows, windows no shorter than a tick."""
+        sim, machine, kernels = _spinners(params, reference=False)
+        ref_sim, ref_machine, ref_kernels = _spinners(params, reference=True)
+        for stop in sorted(set(stops)) + [25 * MS]:
+            sim.run_until(stop)
+            ref_sim.run_until(stop)
+            assert _snapshot(sim, [machine], kernels) == _snapshot(
+                ref_sim, [ref_machine], ref_kernels)
+        # A spin shorter than a 1 ms window may never exit.
+        assert params['window'] > 50 * US or (
+            sim.trace.counters['ple.exits'] > 0)
+        assert sim.events_processed < ref_sim.events_processed
+
+    def test_spinners_fire_fewer_events_than_a_busy_gcpu_ticks(self):
+        """Two spinners exit every 50 us beside a gCPU that computes for
+        20 ms: the one timer folds the busy gCPU's ticks past the
+        windows and the windows past the ticks, so it fires fewer times
+        than that gCPU ticks."""
+        params = {'window': 50 * US, 'hold': 1 * SEC, 'gap': 50 * US,
+                  'critical': 50 * US, 'think': 50 * US,
+                  'offsets': (100 * US, 100 * US), 'hog_pcpu': 0,
+                  'hog_sleep': 1 * SEC, 'hog_burst': 50 * US}
+        sim, machine, kernels = _spinners(params, reference=False)
+        timer = machine.guest_ticks
+        fired = []
+        sim.add_post_event_hook(
+            lambda event: fired.append(event.callback == timer._fire))
+        sim.run_until(20 * MS)
+        busy = kernels[0].gcpus[3]
+        assert busy.tick_count == 20
+        assert sim.trace.counters['ple.exits'] >= 2 * 390
+        assert sum(fired) < busy.tick_count
 
 
 def _hogs(n_vcpus=4):

@@ -8,10 +8,11 @@ from repro.simkernel import (
     Simulator,
     install_sanitizer,
 )
-from repro.simkernel.units import MS, SEC
+from repro.experiments import apply_strategy
+from repro.simkernel.units import MS, SEC, US
 
 from conftest import build_machine, build_vm
-from repro.workloads import Compute
+from repro.workloads import Acquire, Compute, Release, SpinLock
 
 
 def hog():
@@ -25,6 +26,32 @@ def sanitized_machine(mode='raise', interval=1):
     machine = build_machine(sim, 2)
     __, kernel = build_vm(sim, machine, 'fg', n_vcpus=2, pinning=[0, 1])
     return sim, sanitizer, machine, kernel
+
+
+def spinning_machine():
+    """A collecting sanitizer on a PLE machine, 2 ms in: ``fg.v0`` spins
+    in place for the lock ``fg.v1`` holds. Returns the spinner too."""
+    sim = Simulator(seed=3)
+    sanitizer = install_sanitizer(sim, mode='collect')
+    machine = build_machine(sim, 2)
+    apply_strategy(machine, 'ple')
+    vm, kernel = build_vm(sim, machine, 'fg', n_vcpus=2, pinning=[0, 1])
+    lock = SpinLock('l')
+
+    def holder():
+        yield Acquire(lock)
+        yield Compute(1 * SEC)
+        yield Release(lock)
+
+    def waiter():
+        yield Compute(300 * US)
+        yield Acquire(lock)
+        yield Release(lock)
+    kernel.spawn('holder', holder(), gcpu_index=1)
+    kernel.spawn('waiter', waiter(), gcpu_index=0)
+    machine.start()
+    sim.run_until(2 * MS)
+    return sim, sanitizer, machine, vm.vcpus[0]
 
 
 class TestWiring:
@@ -114,7 +141,7 @@ class TestCatchesCorruption:
         update = gcpu.rt.update
 
         def corrupting_update(now=None):
-            # Runs inside TickTimer._fire, after it re-keyed the tick.
+            # Runs inside the timer's _fire, after it re-keyed the tick.
             if not fired_at:
                 fired_at.append(sim.now)
                 self._double_dispatch(kernel)
@@ -178,7 +205,7 @@ class TestCatchesCorruption:
             expected = 'its vCPU is runnable'
         sanitizer.check_now()
         stray = [v.message for v in sanitizer.violations
-                 if v.invariant == 'tick_fold']
+                 if v.invariant == 'timer_fold']
         assert expected in stray[0] and 'tick' in stray[0]
         # A tick moved before now also moves before the timer's event.
         assert len(stray) == (2 if corruption == 'past' else 1)
@@ -189,6 +216,45 @@ class TestCatchesCorruption:
         assert len(quantum) == (1 if corruption == 'descheduled' else 0)
         assert all('quantum pending on runnable vCPU' in message
                    for message in quantum)
+
+    @pytest.mark.parametrize('corruption', ['past', 'not spinning',
+                                            'no event', 'spinner ahead',
+                                            'tick ahead'])
+    def test_stray_window_detected(self, corruption):
+        """A PLE window is a key of the same timer as the ticks, and the
+        one ``timer_fold`` invariant checks both."""
+        sim, sanitizer, machine, spinner = spinning_machine()
+        sanitizer.check_now()
+        assert sanitizer.violations == []
+        timer = machine.guest_ticks
+        window = timer.windows[spinner]
+        live = min(entry[0] for entry in sim._queue._heap
+                   if entry[1] == entry[2].seq)
+        if corruption == 'past':
+            window[0] = sim.now - 1
+            expected = ['PLE window at t=%d, before now' % (sim.now - 1),
+                        'not at the earliest']
+        elif corruption == 'not spinning':
+            spinner.gcpu.current.spinning = False
+            expected = ['fg.v0 has a PLE window but is running']
+        elif corruption == 'no event':
+            timer.event.cancel()
+            expected = ['timer event not pending while 3 keys are held']
+        elif corruption == 'spinner ahead':
+            spinner.runstate_since = live + 1
+            expected = ['fg.v0 ticks or exits applied up to t=%d, past the '
+                        'next live event at t=%d' % (live + 1, live)]
+        else:
+            holder = machine.vms[0].vcpus[1].gcpu
+            holder.run_started_at = live + 1
+            expected = ['%s ticks or exits applied up to t=%d'
+                        % (holder.name, live + 1)]
+        sanitizer.check_now()
+        stray = [v.message for v in sanitizer.violations
+                 if v.invariant == 'timer_fold']
+        assert len(stray) == len(expected)
+        for message, part in zip(stray, expected):
+            assert part in message
 
     @pytest.mark.parametrize('corruption', ['past', 'descheduled'])
     def test_stray_tick_event_detected_beside_another_machine(

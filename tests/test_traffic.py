@@ -4,13 +4,15 @@ SLO accounting, autoscaler hysteresis, and the run_traffic pipeline
 integration. The conftest sanitizer fixture validates scheduler
 invariants after every test."""
 
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cluster import Cluster, HostSpec, VmRequest
-from repro.experiments import SpecError, run_specs, traffic_spec
+from repro.experiments import (SpecError, execute_spec, run_specs,
+                               traffic_spec)
 from repro.simkernel import Simulator
 from repro.simkernel.rng import RngRegistry
 from repro.simkernel.units import MS, SEC
@@ -532,6 +534,17 @@ class TestTrafficSpecPipeline:
         assert outcome.throughput > 0
         assert outcome.cluster['slo']['requests'] > 0
         assert outcome.cluster['open_loop'] is True
+
+    def test_executor_frees_the_run_it_returns_from(self):
+        # A run's object graph is cyclic; the executor collects it, so a
+        # batch's resident set does not grow with the runs it has done.
+        spec = traffic_spec(seed=0, n_hosts=2, n_hog_vms=2, n_server_vms=2,
+                            rate_rps=1200, warmup_ns=50 * MS,
+                            measure_ns=300 * MS)
+        gc.collect()
+        execute_spec(spec)
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, Simulator)]
 
     def test_figure_registered(self):
         from repro.experiments.figures import ALL_FIGURES
