@@ -42,9 +42,9 @@ on a chain of period ``p`` is drawn at ``T - p``, so at one instant a
 key already drawn comes first (by ``seq``), then the keys of longer
 periods (a tick before a window), then the chains that started later,
 then by ``seq``. Outside ``run_until`` (and after ``Simulator.stop``)
-every tick and window fires on its own. A machine that shares its
-simulator fires each tick as its own event, as before ticks folded;
-its windows still fold.
+every tick and window fires on its own. A machine that already shares
+its simulator when its timer is built fires each tick as its own event,
+as before ticks folded; its windows still fold.
 """
 
 import math
@@ -100,8 +100,7 @@ class TickDriver:
 
     def arm_quantum(self, gcpu):
         # Re-arms the handle _on_quantum fired; a pending one is
-        # cancelled first, and rearm() re-keys it (or replaces it, if
-        # the new segment ends earlier).
+        # cancelled first, and rearm() replaces it.
         event = gcpu.quantum_event
         if event is not None:
             event.cancel()
@@ -230,11 +229,12 @@ class TickTimer:
     each spinning vCPU's next PLE window, as ``[time, seq, owner, ticks,
     period]`` (``ticks`` is the gCPU's :class:`TickDriver`, None for a
     window), and :attr:`event` fires at those that run live. On a
-    machine that shares its simulator (``Machine.shares_simulator``: the
-    hosts of a cluster), :attr:`events` holds each gCPU's own tick event
-    instead, and :attr:`keys` stays empty. Another machine's ticks are
-    live events to this timer, so there a fold would almost never span
-    two ticks of one gCPU, while every fired tick paid for the keys."""
+    machine that shares its simulator when the timer is built
+    (``Machine.shares_simulator``: the hosts of a cluster),
+    :attr:`events` holds each gCPU's own tick event instead, and
+    :attr:`keys` stays empty. Another machine's ticks are live events
+    to this timer, so there a fold would almost never span two ticks of
+    one gCPU, while every fired tick paid for the keys."""
 
     def __init__(self, machine):
         self.sim = machine.sim
@@ -252,35 +252,11 @@ class TickTimer:
         # True while the event's callback runs: key changes then only
         # update the keys, and the callback re-arms the event.
         self._firing = False
-        # None while ticks fold; else gCPU -> its tick Event, kept after
-        # a stop so the next start re-keys it in place.
+        # None while ticks fold; else gCPU -> its tick Event while its
+        # ticks run. Fixed here: a machine made on the simulator later
+        # leaves this timer folding, as a fold never passes the next
+        # live event, another machine's included.
         self.events = {} if machine.shares_simulator else None
-
-    def fire_each(self):
-        """Stop folding ticks (the machine now shares its simulator):
-        give every held tick key its own event, at the same key, and
-        fire each tick from here on as its own event. Windows still
-        fold."""
-        events = self.events = {}
-        windows = []
-        for key in self._order:
-            time, seq, gcpu, ticks, __ = key
-            if ticks is None:
-                windows.append(key)
-            elif gcpu is self._owner:
-                # The timer's event, pending at this key, becomes the
-                # gCPU's own: a second entry at its key would tie.
-                event = events[gcpu] = self.event
-                event.callback = ticks.tick
-                event.args = (gcpu,)
-                self.event = None
-            else:
-                events[gcpu] = self.sim.rearm_at(None, time, seq, ticks.tick,
-                                                  gcpu)
-        self.keys.clear()
-        self._order = windows
-        if self.event is None:
-            self._arm_first()
 
     def arm(self, gcpu):
         """``gcpu`` runs a task: its ticks start one period from now,
@@ -328,7 +304,7 @@ class TickTimer:
         """``gcpu`` stopped running (or went idle): no more ticks."""
         events = self.events
         if events is not None:
-            event = events.get(gcpu)
+            event = events.pop(gcpu, None)
             if event is not None:
                 event.cancel()
             return
@@ -375,7 +351,7 @@ class TickTimer:
             event.cancel()
         if self._order:
             time, seq, self._owner, __, __ = self._order[0]
-            self.event = self.sim.rearm_at(event, time, seq, self._fire)
+            self.event = self.sim.at_key(time, seq, self._fire)
         else:
             self._owner = None
 

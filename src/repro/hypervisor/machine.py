@@ -47,7 +47,8 @@ class Machine:
         # kernel bound to this machine.
         self.guest_ticks = None
         # True once another Machine is made on ``sim`` (the hosts of a
-        # cluster share one): then the tick timer does not fold.
+        # cluster share one): a tick timer built after that does not
+        # fold.
         self.shares_simulator = False
         first = _FIRST_MACHINES.get(sim)
         if first is None:
@@ -55,10 +56,8 @@ class Machine:
         else:
             self.shares_simulator = True
             first = first()
-            if first is not None and not first.shares_simulator:
+            if first is not None:
                 first.shares_simulator = True
-                if first.guest_ticks is not None:
-                    first.guest_ticks.fire_each()
 
         # Strategy slots (None = vanilla behaviour).
         self.sa_sender = None

@@ -33,12 +33,6 @@ class PleMonitor:
         self.machine = machine
         self.window_ns = window_ns
 
-    @property
-    def windows(self):
-        """Spinning vCPU -> the ``[time, seq, vcpu, None]`` key of its
-        next window not yet applied."""
-        return self.machine.guest_ticks.windows
-
     def on_spin_start(self, vcpu):
         """The running task on ``vcpu`` entered a pause loop."""
         self.machine.guest_ticks.start_window(vcpu, self.window_ns)

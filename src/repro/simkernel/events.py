@@ -8,37 +8,31 @@ in the heap and is discarded when it reaches the head — which keeps both
 a push and ``cancel`` O(log n) worst case and O(1) amortized for cancel.
 
 ``Event.seq`` is the one record of a handle's state: positive while
-pending, :data:`FIRED_SEQ` once popped, :data:`CANCELLED_SEQ` while a
-cancelled handle's entry is still queued, :data:`DROPPED_SEQ` once
-:func:`settle_head` dropped that entry. An entry is live while its
-``sequence`` equals its event's ``seq``. ``Simulator.rearm`` and
-``rearm_at`` may re-key a cancelled handle to a later ``(time, seq)``
-without a push, so a head
-entry whose ``sequence`` no longer matches is *stale*: :func:`settle_head`
-drops it (cancelled) or pushes it back at its handle's current key
-(re-keyed). Either way the head check stays one comparison,
-``entry[1] != entry[2].seq``.
+pending, :data:`FIRED_SEQ` once popped, :data:`CANCELLED_SEQ` once
+cancelled. A cancelled handle is never armed again (``Simulator.rearm``
+gives it a fresh :class:`Event`), so its entry is the only kind that
+goes stale: an entry is live while its ``sequence`` equals its event's
+``seq``, and a stale head is popped and dropped. The head check stays
+one comparison, ``entry[1] != entry[2].seq``.
 """
 
-from heapq import heappop, heapreplace
+from heapq import heappop
 
 #: The ``seq`` of a fired :class:`Event` (the queue's counter starts at 1).
 FIRED_SEQ = 0
-#: The ``seq`` of a cancelled :class:`Event` whose entry is still queued.
+#: The ``seq`` of a cancelled :class:`Event`.
 CANCELLED_SEQ = -1
-#: The ``seq`` of a cancelled :class:`Event` whose entry was dropped.
-DROPPED_SEQ = -2
 
 
 class Event:
     """A scheduled callback. Returned by :meth:`Simulator.after
     <repro.simkernel.simulation.Simulator.after>` (which ``at`` and
-    ``call_soon`` call) and by ``Simulator.rearm``.
+    ``call_soon`` call), ``Simulator.rearm`` and ``Simulator.at_key``.
 
     Instances are handles: hold one to :meth:`cancel` the event before it
     fires. An event fires at most once per scheduling;
     ``Simulator.rearm`` and ``Simulator.again`` may schedule a fired
-    handle again, and ``rearm`` re-keys a cancelled one in place.
+    handle again, and a cancelled one stays cancelled.
     ``seq`` holds the handle's state (see the module docstring);
     ``pending``, ``fired`` and ``cancelled`` read it.
     """
@@ -54,10 +48,9 @@ class Event:
     def __lt__(self, other):
         """Never less. Two heap entries share a ``(time, seq)`` key only
         when one is a cancelled handle's stale entry: a keyed timer that
-        moved its event earlier may arm it again at the key it left
-        while the old entry is still queued. The tie then compares
-        Events, and the stale entry is dropped whichever surfaces
-        first."""
+        moved its event may arm a fresh one at the key it left while the
+        old entry is still queued. The tie then compares Events, and the
+        stale entry is dropped whichever surfaces first."""
         return False
 
     def cancel(self):
@@ -78,8 +71,8 @@ class Event:
 
     @property
     def cancelled(self):
-        """True once cancelled (until it is re-armed), whether or not
-        its heap entry was dropped yet."""
+        """True once cancelled, whether or not its heap entry was
+        dropped yet."""
         return self.seq < 0
 
     def __repr__(self):
@@ -90,31 +83,17 @@ class Event:
         return '<Event t=%d %s %s>' % (self.time, name, state)
 
 
-def settle_head(heap):
-    """Resolve the stale entry at the head of ``heap``: drop it if its
-    event is cancelled (marking the handle :data:`DROPPED_SEQ`), else
-    push it back at the event's current ``(time, seq)``. A re-key only
-    ever moves a handle later, so the pushed-back entry still fires in
-    key order."""
-    event = heap[0][2]
-    if event.seq == CANCELLED_SEQ:
-        heappop(heap)
-        event.seq = DROPPED_SEQ
-    else:
-        heapreplace(heap, (event.time, event.seq, event))
-
-
 class EventQueue:
     """Priority queue of :class:`Event` objects ordered by (time, seq).
 
     Every push happens outside this class:
     :meth:`Simulator.after <repro.simkernel.simulation.Simulator.after>`,
-    ``Simulator.rearm``, ``rearm_at`` and ``again`` push onto ``_heap``
-    directly, and :func:`settle_head` (which :meth:`pop` and
-    ``Simulator.peek_key`` call) pushes a re-keyed entry back. They
-    depend on the ``(time, seq, event)`` entry layout and on ``_seq``,
-    the count of drawn keys (``Simulator.reserve_seq`` draws one without
-    a push); a change to either updates them too.
+    ``Simulator.rearm``, ``at_key``, ``again`` and ``again_at`` push
+    onto ``_heap`` directly, and :meth:`pop` and ``Simulator.peek_key``
+    drop stale heads. They depend on the ``(time, seq, event)`` entry
+    layout and on ``_seq``, the count of drawn keys
+    (``Simulator.reserve_seq`` draws one without a push); a change to
+    either updates them too.
     """
 
     def __init__(self):
@@ -131,8 +110,8 @@ class EventQueue:
         ``until``, in which case it stays queued.
 
         The returned event is marked fired; the caller invokes its
-        callback. Stale heads are settled on the way (see
-        :func:`settle_head`), before the bound is compared.
+        callback. Stale heads are dropped on the way, before the bound
+        is compared.
         """
         heap = self._heap
         while heap:
@@ -144,17 +123,15 @@ class EventQueue:
                 heappop(heap)
                 event.seq = FIRED_SEQ
                 return event
-            settle_head(heap)
+            heappop(heap)
         return None
 
     def peek_events(self, n):
         """The next ``n`` pending events in firing order, without
-        popping. A re-keyed handle is listed at its current time, not at
-        its stale entry's.
+        popping.
 
         O(heap) — intended for diagnostics (livelock reports), not for
         the hot path.
         """
-        live = sorted((event.time, event.seq, event)
-                      for __, __, event in self._heap if event.seq > 0)
+        live = sorted(entry for entry in self._heap if entry[2].seq > 0)
         return [event for __, __, event in live[:n]]

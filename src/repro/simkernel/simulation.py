@@ -7,9 +7,9 @@ deterministic: given the same seed and model, two runs produce identical
 event sequences.
 """
 
-from heapq import heappush
+from heapq import heappop, heappush
 
-from .events import CANCELLED_SEQ, FIRED_SEQ, Event, EventQueue, settle_head
+from .events import FIRED_SEQ, Event, EventQueue
 from .rng import RngRegistry
 from .tracing import Tracer
 
@@ -114,98 +114,61 @@ class Simulator:
 
         The handle takes the new time and the next ``seq`` (the same
         counter as :meth:`after`), so a timer costs no allocation per
-        period. It is :meth:`rearm_at` at ``(now + delay, next seq)``,
-        written out because the compute quantum and the guest tick call
-        it about once per event, and delegating cost parsec-block runs
-        about 6%:
-
-        * a cancelled handle whose stale heap entry is still queued
-          (``CANCELLED_SEQ``) is *re-keyed*: nothing is pushed, and the
-          stale entry is pushed back at the new key when it reaches the
-          head (``events.settle_head``). Only a re-key to a time not
-          earlier than the handle's own is safe that way, so an earlier
-          one gets a fresh :class:`Event` instead;
-        * a fired handle (``FIRED_SEQ``), or a cancelled one whose entry
-          was dropped (``DROPPED_SEQ``), is reused with a push;
-        * ``None`` gets a fresh :class:`Event`;
-        * a still-pending handle raises :class:`SimulationError`."""
+        period. A fired handle is reused with a push; ``None`` or a
+        cancelled handle gets a fresh :class:`Event` (a cancelled one
+        stays cancelled); a still-pending handle raises
+        :class:`SimulationError`."""
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
-        stale = False
-        if handle is not None:
+        if handle is not None and handle.seq != FIRED_SEQ:
             if handle.seq > 0:
                 raise SimulationError('cannot re-arm pending %r' % (handle,))
-            stale = handle.seq == CANCELLED_SEQ
+            handle = None
         queue = self._queue
         time = self.now + delay
         seq = queue._seq = queue._seq + 1
-        if handle is None or stale and time < handle.time:
+        if handle is None:
             handle = Event(time, seq, callback, args)
         else:
             handle.time = time
             handle.seq = seq
             handle.callback = callback
             handle.args = args
-            if stale:
-                # Re-keyed: settle_head pushes the stale entry back.
-                return handle
         heappush(queue._heap, (time, seq, handle))
         return handle
 
-    def rearm_at(self, handle, time, seq, callback, *args):
+    def at_key(self, time, seq, callback, *args):
         """Schedule ``callback(*args)`` at the explicit key ``(time,
-        seq)`` through ``handle``; return the scheduled handle.
+        seq)`` and return its fresh :class:`Event`.
 
         ``seq`` is a key drawn earlier with :meth:`reserve_seq`, so the
-        event fires where an event scheduled at that draw would.
-        Handles are treated as by :meth:`rearm`. A cancelled handle is
-        re-keyed in place only when the new key is certainly not earlier
-        than its stale entry's: a later time, or the same time with the
-        latest drawn ``seq``. Any other key gets a fresh
-        :class:`Event`."""
+        event fires where an event scheduled at that draw would."""
         if time < self.now:
             raise SimulationError(
                 'cannot schedule at %d, now is %d' % (time, self.now))
-        stale = False
-        if handle is not None:
-            if handle.seq > 0:
-                raise SimulationError('cannot re-arm pending %r' % (handle,))
-            stale = handle.seq == CANCELLED_SEQ
-        queue = self._queue
-        if handle is None or stale and (
-                time < handle.time
-                or time == handle.time and seq != queue._seq):
-            handle = Event(time, seq, callback, args)
-        else:
-            handle.time = time
-            handle.seq = seq
-            handle.callback = callback
-            handle.args = args
-            if stale:
-                # Re-keyed: settle_head pushes the stale entry back.
-                return handle
-        heappush(queue._heap, (time, seq, handle))
-        return handle
+        event = Event(time, seq, callback, args)
+        heappush(self._queue._heap, (time, seq, event))
+        return event
 
     def reserve_seq(self):
         """Draw the next ``seq`` without scheduling anything, and return
-        it: the key of an event armed later with :meth:`rearm_at`,
-        which then keeps the place among same-instant events that an
-        event scheduled now would have."""
+        it: the key of an event armed later with :meth:`at_key` or
+        :meth:`again_at`, which then keeps the place among same-instant
+        events that an event scheduled now would have."""
         queue = self._queue
         seq = queue._seq = queue._seq + 1
         return seq
 
     def peek_key(self):
         """The ``(time, seq)`` key of the next live event, or None when
-        none is queued. Stale heads are settled on the way, as
-        ``EventQueue.pop`` would settle them."""
+        none is queued. Stale heads are dropped on the way, as
+        ``EventQueue.pop`` would drop them."""
         heap = self._queue._heap
         while heap:
             entry = heap[0]
             if entry[1] == entry[2].seq:
                 return entry[0], entry[1]
-            settle_head(heap)
+            heappop(heap)
         return None
 
     def again(self, delay):

@@ -94,9 +94,6 @@ class PerTickTimer:
         if handle is not None:
             handle.cancel()
 
-    def fire_each(self):
-        """Every tick already fires as its own event."""
-
     def fire(self, gcpu):
         if not gcpu.vcpu.is_running or gcpu.in_sa_handler:
             return

@@ -234,7 +234,7 @@ class TestSwitch:
         machine.start()
         spinner, pcpu = vm.vcpus[0], machine.pcpus[0]
         sim.run_until(400 * US)
-        expiry = machine.ple.windows[spinner][0]
+        expiry = machine.guest_ticks.windows[spinner][0]
         sim.run_until(expiry - 1)
         counters = sim.trace.counters
         before = (counters['ple.exits'], counters['hv.preemptions'],
@@ -250,19 +250,21 @@ class TestSwitch:
         assert ticks.keys[spinner.gcpu][0] == (
             expiry + kernel.policy.config.tick_ns)
         assert ticks.event.pending
-        assert machine.ple.windows[spinner][0] == expiry + 50 * US
+        assert ticks.windows[spinner][0] == expiry + 50 * US
         # The machine's one timer event sits at the earliest tick or
         # window.
-        held = list(ticks.keys.values()) + list(machine.ple.windows.values())
+        held = list(ticks.keys.values()) + list(ticks.windows.values())
         assert [ticks.event.time, ticks.event.seq] == min(held)[:2]
 
 
-def _window_keys(ple):
+def _window_keys(machine):
     """Spinning vCPU -> key of its next PLE window, for either monitor."""
+    ple = machine.ple
     if isinstance(ple, PerWindowPle):
         return {vcpu: (h.time, h.seq) for vcpu, h in ple.handles.items()
                 if h.pending}
-    return {vcpu: (t, s) for vcpu, (t, s, *__) in ple.windows.items()}
+    return {vcpu: (t, s) for vcpu, (t, s, *__)
+            in machine.guest_ticks.windows.items()}
 
 
 def _name(arg):
@@ -287,7 +289,7 @@ def _pending_order(sim, machine):
     ple = machine.ple
     ticks = machine.guest_ticks
     keyed = [(t, s, ('ple window', vcpu.name))
-             for vcpu, (t, s) in _window_keys(ple).items()]
+             for vcpu, (t, s) in _window_keys(machine).items()]
     keyed += [(t, s, ('guest tick', gcpu.name))
               for gcpu, (t, s) in _tick_keys(ticks).items()]
     for event in sim._queue.peek_events(len(sim._queue._heap)):
@@ -358,7 +360,7 @@ def _spinner_at_its_window(queued, spinner_priority, case, reference=False):
     machine.start()
     spinner, pcpu = vm.vcpus[0], machine.pcpus[0]
     sim.run_until(400 * US)
-    expiry = _window_keys(machine.ple)[spinner][0]
+    expiry = _window_keys(machine)[spinner][0]
     sim.run_until(expiry - 1)
     for vcpu, (priority, costopped) in zip(others.vcpus, queued):
         vcpu.set_runstate('runnable', sim.now)
@@ -413,7 +415,8 @@ class TestInPlacePleExit:
             ref_sim, ref_machine, [ref_kernel])
         if in_place:
             assert pcpu.current is spinner
-            assert machine.ple.windows[spinner][0] == expiry + 50 * US
+            windows = machine.guest_ticks.windows
+            assert windows[spinner][0] == expiry + 50 * US
         sim.run_until(expiry + 3 * MS)
         ref_sim.run_until(expiry + 3 * MS)
         assert _snapshot(sim, machine, [kernel]) == _snapshot(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.simkernel import SimulationError, Simulator
-from repro.simkernel.events import CANCELLED_SEQ, DROPPED_SEQ, FIRED_SEQ
+from repro.simkernel.events import CANCELLED_SEQ, FIRED_SEQ
 
 
 class TestScheduleAndPop:
@@ -79,17 +79,19 @@ class TestBoundedPop:
         later = sim.at(80, lambda: None)
         cancelled.cancel()
         assert sim._queue.pop(50) is None
-        assert cancelled.seq == DROPPED_SEQ
+        assert cancelled.seq == CANCELLED_SEQ
         assert [entry[2] for entry in sim._queue._heap] == [later]
 
     def test_rekeyed_head_is_compared_at_its_new_key(self):
+        """A cancelled handle re-armed later: the stale entry at 10 is
+        dropped, and the bound is compared with the fresh event's 60."""
         sim = Simulator()
         handle = sim.at(10, lambda: None)
         handle.cancel()
-        sim.rearm(handle, 60, lambda: None)
+        fresh = sim.rearm(handle, 60, lambda: None)
         assert sim._queue.pop(50) is None
-        assert sim._queue._heap == [(60, handle.seq, handle)]
-        assert sim._queue.pop(60) is handle
+        assert sim._queue._heap == [(60, fresh.seq, fresh)]
+        assert sim._queue.pop(60) is fresh and handle.cancelled
 
 
 class TestCancellation:
@@ -160,9 +162,9 @@ class TestPeek:
 
 
 class TestRekeyedHeads:
-    """A handle cancelled and re-keyed by ``Simulator.rearm`` keeps one
-    stale heap entry; every reader of the head pushes it back at the
-    handle's current key, and the diagnostics list the current key."""
+    """A handle cancelled and then re-armed by ``Simulator.rearm``: a
+    fresh Event holds the new key, the old handle stays cancelled, and
+    every reader of the head drops its stale entry."""
 
     def _rekeyed(self):
         sim = Simulator()
@@ -170,46 +172,47 @@ class TestRekeyedHeads:
         other = sim.after(15, lambda: None)
         handle.cancel()
         assert handle.seq == CANCELLED_SEQ
-        assert sim.rearm(handle, 20, lambda: None) is handle
-        return sim, handle, other
+        fresh = sim.rearm(handle, 20, lambda: None)
+        assert fresh is not handle and fresh.pending and handle.cancelled
+        return sim, handle, fresh, other
 
-    def test_pop_pushes_a_stale_head_back(self):
-        sim, handle, other = self._rekeyed()
+    def test_pop_drops_a_stale_head(self):
+        sim, handle, fresh, other = self._rekeyed()
         queue = sim._queue
         assert queue.pop() is other
-        assert queue._heap == [(20, 3, handle)]
-        assert queue.pop() is handle and handle.fired
+        assert queue._heap == [(20, 3, fresh)]
+        assert handle.seq == CANCELLED_SEQ
+        assert queue.pop() is fresh and fresh.fired
         assert queue.pop() is None and len(queue) == 0
 
     def test_run_until_settles_stale_heads(self):
-        sim, handle, other = self._rekeyed()
+        sim, handle, fresh, other = self._rekeyed()
         queue = sim._queue
         other.cancel()
         assert len(queue) == 1
         assert sim.run_until(15) == 0
-        # (10, 1) went back in at (20, 3); the cancelled (15, 2) was
-        # dropped.
-        assert queue._heap == [(20, 3, handle)]
-        assert other.seq == DROPPED_SEQ and handle.pending
+        # The cancelled (10, 1) and (15, 2) were dropped.
+        assert queue._heap == [(20, 3, fresh)]
+        assert other.cancelled and handle.cancelled and fresh.pending
         assert len(queue) == 1
 
     def test_peek_events_lists_the_current_key(self):
-        sim, handle, other = self._rekeyed()
+        sim, handle, fresh, other = self._rekeyed()
         queue = sim._queue
-        assert queue.peek_events(5) == [other, handle]
+        assert queue.peek_events(5) == [other, fresh]
         assert [(e.time, e.seq) for e in queue.peek_events(5)] == [
             (15, 2), (20, 3)]
         # Stale entry untouched: diagnostics do not settle the heap.
         assert queue._heap[0] == (10, 1, handle)
 
     def test_cancelled_head_detaches_its_handle(self):
-        sim, handle, other = self._rekeyed()
+        sim, handle, fresh, other = self._rekeyed()
         queue = sim._queue
-        handle.cancel()
+        fresh.cancel()
         assert queue.pop() is other
-        assert handle.seq == DROPPED_SEQ and not queue._heap
-        assert handle.cancelled and not handle.pending
-        assert len(queue) == 0
+        assert queue._heap == [(20, 3, fresh)] and len(queue) == 0
+        assert queue.pop() is None and not queue._heap
+        assert fresh.cancelled and not fresh.pending
 
 
 class TestEventRepr:

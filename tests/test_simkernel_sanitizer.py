@@ -259,10 +259,14 @@ class TestCatchesCorruption:
     @pytest.mark.parametrize('corruption', ['past', 'descheduled'])
     def test_stray_tick_event_detected_beside_another_machine(
             self, corruption):
-        """With a second machine's guests on the simulator every tick is
-        its own event, checked as a timer handle."""
-        sim, sanitizer, machine, kernel = sanitized_machine(mode='collect')
+        """On a machine that shares its simulator when its first guest
+        binds (a cluster builds every host first) every tick is its own
+        event, checked as a timer handle."""
+        sim = Simulator(seed=3)
+        sanitizer = install_sanitizer(sim, mode='collect')
+        machine = build_machine(sim, 2)
         build_vm(sim, build_machine(sim, 1), 'other', pinning=[0])
+        __, kernel = build_vm(sim, machine, 'fg', n_vcpus=2, pinning=[0, 1])
         kernel.spawn('a', hog(), gcpu_index=0)
         machine.start()
         sim.run_until(10 * MS)

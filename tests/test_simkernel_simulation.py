@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import LivelockError, SimulationError, Simulator
-from repro.simkernel.events import DROPPED_SEQ, FIRED_SEQ
+from repro.simkernel.events import CANCELLED_SEQ
 
 
 class TestScheduling:
@@ -276,8 +276,8 @@ class TestRunUntilEdges:
 
 class TestRearm:
     """``Simulator.rearm``: a fired handle is rescheduled in place; a
-    cancelled one is re-keyed in place unless the new time is earlier;
-    a missing one is allocated; a pending one is refused."""
+    cancelled or missing one gets a fresh Event (the cancelled one
+    stays cancelled); a pending one is refused."""
 
     def _fired(self, sim, results):
         handle = sim.after(10, results.append, 'first')
@@ -330,7 +330,7 @@ class TestRearm:
         assert handle.fired
         assert sim.pending_events == 0
 
-    def test_cancelled_handle_is_rekeyed(self):
+    def test_cancelled_handle_gets_a_fresh_event(self):
         sim = Simulator()
         queue = sim._queue
         results = []
@@ -338,28 +338,26 @@ class TestRearm:
         handle = sim.after(10, results.append, 'stale')
         handle.cancel()
         assert len(queue) == 1
-        same = sim.rearm(handle, 20, results.append, 'rekeyed')
+        fresh = sim.rearm(handle, 20, results.append, 'fresh')
         sim.after(20, results.append, 'after')
-        # Re-keyed in place: no push, the next seq, live again.
-        assert same is handle and handle.pending
-        assert (handle.time, handle.seq) == (20, 3)
+        # A fresh Event at the next seq, pushed beside the stale entry;
+        # the old handle stays cancelled.
+        assert fresh is not handle and fresh.pending and handle.cancelled
+        assert (fresh.time, fresh.seq) == (20, 3)
         assert queue._seq == 4 and len(queue) == 3
-        assert len(queue._heap) == 3
+        assert len(queue._heap) == 4
         sim.run_until(15)
-        # The stale entry surfaced at 10 and went back in at (20, 3).
+        # The stale entry surfaced at 10 and was dropped.
         assert results == [] and len(queue._heap) == 3
         sim.run_until(100)
-        assert results == ['before', 'rekeyed', 'after']
-        assert handle.fired and len(queue) == 0 and not queue._heap
-        # Earlier than the handle's own time: a fresh Event, and the
-        # stale entry is dropped when it surfaces.
-        early = sim.after(50, results.append, 'stale')
-        early.cancel()
-        fresh = sim.rearm(early, 10, results.append, 'fresh')
-        assert fresh is not early and early.cancelled and fresh.pending
-        assert fresh.seq == queue._seq == 6 and len(queue) == 1
+        assert results == ['before', 'fresh', 'after']
+        assert fresh.fired and handle.cancelled
+        assert len(queue) == 0 and not queue._heap
+        # Its entry gone, the cancelled handle still gets a fresh Event.
+        again = sim.rearm(handle, 10, results.append, 'again')
+        assert again is not handle and handle.cancelled and again.pending
         sim.run_until(200)
-        assert results[3:] == ['fresh'] and fresh.fired
+        assert results[3:] == ['again'] and again.fired
         assert len(queue) == 0 and not queue._heap
         assert sim.events_processed == 4
 
@@ -386,7 +384,7 @@ class TestRearm:
         queue = sim._queue
         handle = self._fired(sim, [])
         assert len(queue) == 0
-        sim.rearm(handle, 5, lambda: None)
+        assert sim.rearm(handle, 5, lambda: None) is handle
         assert len(queue) == 1
         handle.cancel()
         handle.cancel()
@@ -398,21 +396,22 @@ class TestRearm:
         sim.rearm(handle, 5, lambda: None)
         handle.cancel()
         sim.run_until(200)
-        # Drained: its cancelled entry surfaced and was dropped, so a
-        # second cancel is a no-op and rearm() reuses it with a push.
-        assert handle.seq == DROPPED_SEQ and not queue._heap
+        # Drained: its cancelled entry surfaced and was dropped, the
+        # handle stays cancelled and a second cancel is a no-op.
+        assert handle.seq == CANCELLED_SEQ and not queue._heap
         handle.cancel()
         assert len(queue) == 0
-        assert sim.rearm(handle, 5, lambda: None) is handle
+        fresh = sim.rearm(handle, 5, lambda: None)
+        assert fresh is not handle and handle.cancelled
         assert len(queue) == 1 and len(queue._heap) == 1
         sim.run_until(300)
-        assert handle.fired and len(queue) == 0
-        sim.rearm(handle, 5, lambda: None)
+        assert fresh.fired and len(queue) == 0
+        assert sim.rearm(fresh, 5, lambda: None) is fresh
         assert len(queue) == 1
 
 
 class TestReservedKeys:
-    """``reserve_seq``, ``rearm_at``, ``peek_key`` and ``run_end``: the
+    """``reserve_seq``, ``at_key``, ``peek_key`` and ``run_end``: the
     primitives that let a model keep an event's key without its event."""
 
     def test_reserved_key_fires_at_its_reserved_place(self):
@@ -424,50 +423,44 @@ class TestReservedKeys:
         assert seq == 2 and sim._queue._seq == 3
         # Nothing was pushed for the reserved key.
         assert len(sim._queue._heap) == 2
-        handle = sim.rearm_at(None, 10, seq, results.append, 'b')
+        handle = sim.at_key(10, seq, results.append, 'b')
         assert (handle.time, handle.seq) == (10, seq) and handle.pending
         assert sim._queue._seq == 3
         sim.run_until(10)
         assert results == ['a', 'b', 'c']
 
-    def test_rearm_at_refuses_the_past_and_pending_handles(self):
+    def test_at_key_refuses_the_past(self):
         sim = Simulator()
         sim.run_until(10)
+        seq = sim.reserve_seq()
         with pytest.raises(SimulationError):
-            sim.rearm_at(None, 9, sim.reserve_seq(), lambda: None)
-        handle = sim.after(5, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.rearm_at(handle, 20, sim.reserve_seq(), lambda: None)
+            sim.at_key(9, seq, lambda: None)
+        assert not sim._queue._heap
+        assert sim.at_key(10, seq, lambda: None).pending
 
-    @pytest.mark.parametrize('time, reserved_before, in_place', [
-        (30, True, True),      # a later time: in place, any seq
-        (20, False, True),     # same time, the latest drawn seq
-        (20, True, False),     # same time, a seq older than the entry's
-        (10, False, False),    # an earlier time
-    ])
-    def test_rekey_in_place_only_when_not_earlier(
-            self, time, reserved_before, in_place):
-        """A cancelled handle is re-keyed in place only when the new key
-        is not earlier than its stale entry's ``(20, 2)``; else it gets
-        a fresh Event and the stale entry is dropped when it surfaces.
-        Either way it fires at its new key, before a same-instant event
-        scheduled after that key was drawn."""
+    def test_an_event_at_a_dead_entrys_key_fires_once(self):
+        """A keyed timer that moved its event earlier may arm a fresh
+        one back at the key it left while that key's dead entry is still
+        queued. The two entries tie on ``(time, seq)``; the fresh event
+        fires exactly once, in the key's place, and the old handle stays
+        cancelled."""
         sim = Simulator()
         results = []
-        early = sim.reserve_seq()
-        handle = sim.after(20, results.append, 'stale')
-        handle.cancel()
-        seq = early if reserved_before else sim.reserve_seq()
-        armed = sim.rearm_at(handle, time, seq, results.append, 'armed')
-        sim.after(time - sim.now, results.append, 'later')
-        assert (armed is handle) == in_place
-        assert (armed.time, armed.seq) == (time, seq)
-        assert len(sim._queue._heap) == (2 if in_place else 3)
-        sim.run_until(100)
-        assert results == ['armed', 'later']
-        assert armed.fired and not sim._queue._heap
-        if not in_place:
-            assert handle.seq == DROPPED_SEQ
+        seq = sim.reserve_seq()
+        left = sim.at_key(20, seq, results.append, 'left')
+        sim.after(20, results.append, 'later')
+        left.cancel()
+        moved = sim.at_key(10, sim.reserve_seq(), results.append, 'moved')
+        moved.cancel()
+        back = sim.at_key(20, seq, results.append, 'back')
+        assert back is not left and left.cancelled and back.pending
+        assert sorted(entry[:2] for entry in sim._queue._heap) == [
+            (10, 3), (20, 1), (20, 1), (20, 2)]
+        assert sim.peek_key() == (20, 1)
+        assert sim.run_until(100) == 2
+        assert results == ['back', 'later']
+        assert back.fired and left.cancelled and moved.cancelled
+        assert not sim._queue._heap
 
     def test_peek_key_settles_stale_heads(self):
         sim = Simulator()
@@ -477,16 +470,15 @@ class TestReservedKeys:
         live = sim.after(9, lambda: None)
         dropped.cancel()
         moved.cancel()
-        sim.rearm(moved, 12, lambda: None)
+        fresh = sim.rearm(moved, 12, lambda: None)
         assert sim.peek_key() == (live.time, live.seq) == (9, 3)
-        # The cancelled head was dropped and the re-keyed one went back
-        # in at its new key.
-        assert dropped.seq == DROPPED_SEQ
+        # Both cancelled heads were dropped; the fresh event holds 12.
+        assert dropped.cancelled and moved.cancelled
         assert sorted(entry[:2] for entry in sim._queue._heap) == [
             (9, 3), (12, 4)]
         live.cancel()
         assert sim.peek_key() == (12, 4)
-        moved.cancel()
+        fresh.cancel()
         assert sim.peek_key() is None and not sim._queue._heap
 
     def test_run_end_is_set_only_inside_run_until(self):
@@ -707,11 +699,12 @@ class TestAgain:
         assert lens == [0, 1, 0]
         assert other.cancelled and len(queue) == 0
         # Its stale entry (t=120) surfaced and was dropped inside
-        # run_until(200), so rearm() reuses the handle with a push.
+        # run_until(200); rearm() gives the cancelled handle a fresh
+        # Event.
         assert not queue._heap
-        reused = sim.rearm(other, 5, lambda: None)
-        assert reused is other and other.pending and len(queue) == 1
-        assert len(queue._heap) == 1
+        fresh = sim.rearm(other, 5, lambda: None)
+        assert fresh is not other and other.cancelled and fresh.pending
+        assert len(queue) == 1 and len(queue._heap) == 1
 
 
 _DELAYS = st.integers(0, 30)
@@ -731,15 +724,18 @@ class TestRekeyModel:
     """``after``, ``at``, ``call_soon``, ``cancel``, ``rearm``,
     ``again`` from a callback and ``run_until`` against a sorted
     ``(time, seq)`` reference: the same firing order, pending count,
-    ``seq`` draws and handle states, and one heap entry per pending
-    handle, whichever of re-key, reuse or allocation ``rearm`` takes."""
+    ``seq`` draws and handle states, and one heap entry, a live one,
+    per pending handle. ``rearm`` reuses a fired handle and gives a
+    cancelled one a fresh Event, and a cancelled handle stays
+    cancelled."""
 
     @settings(max_examples=300, deadline=None)
     @given(steps=_STEPS)
     def test_matches_a_sorted_reference(self, steps):
         sim = Simulator()
         queue = sim._queue
-        handles, plans, fired = [], [], []
+        # Cancelled handles that rearm() replaced.
+        handles, plans, fired, retired = [], [], [], []
         # The reference: slot -> (time, seq) of every pending event,
         # each slot's state, the seq counter, each slot's again() plan,
         # the firing log.
@@ -782,8 +778,13 @@ class TestRekeyModel:
                     with pytest.raises(SimulationError):
                         sim.rearm(handles[slot], delay, callback, slot)
                 else:
-                    handles[slot] = sim.rearm(handles[slot], delay,
-                                              callback, slot)
+                    old = handles[slot]
+                    handles[slot] = sim.rearm(old, delay, callback, slot)
+                    if states[slot] == 'cancelled':
+                        assert handles[slot] is not old
+                        retired.append(old)
+                    else:
+                        assert handles[slot] is old
                     plans[slot] = ref_plans[slot] = plan
                     ref_seq += 1
                     pending[slot] = (sim.now + delay, ref_seq)
@@ -815,13 +816,15 @@ class TestRekeyModel:
             assert [(h.pending, h.fired, h.cancelled) for h in handles] \
                 == [(s == 'pending', s == 'fired', s == 'cancelled')
                     for s in states]
-            # Each pending handle owns exactly one heap entry (a stale
-            # one while re-keyed); fired or dropped handles own none.
+            assert all(h.seq == CANCELLED_SEQ for h in retired)
+            # Each pending handle owns exactly one heap entry, live at
+            # its key; every other entry is a cancelled handle's.
             owners = [id(entry[2]) for entry in queue._heap]
             for handle in handles:
                 if handle.pending:
                     assert owners.count(id(handle)) == 1
-            assert all(entry[2].seq not in (FIRED_SEQ, DROPPED_SEQ)
+            assert all(entry[1] == entry[2].seq
+                       or entry[2].seq == CANCELLED_SEQ
                        for entry in queue._heap)
 
     def test_livelock_error_lists_a_rekeyed_handle_at_its_new_time(self):
@@ -835,7 +838,7 @@ class TestRekeyModel:
         handle = sim.after(100, parked)
         handle.cancel()
         sim.after(1, spin)
-        sim.rearm(handle, 200, parked)
+        assert sim.rearm(handle, 200, parked) is not handle
         with pytest.raises(LivelockError) as err:
             sim.run_until(10**6, max_events=10)
         exc = err.value
